@@ -19,12 +19,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dynamics import normalize_or_uniform
 from .game import ConstrainedMarkovGame
 from .modifications import (
     DEFAULT_HISTORY_CAP,
     CapExceededError,
     MarkovModification,
     NonMarkovModification,
+    split_player_axis,
 )
 
 
@@ -50,45 +52,29 @@ class AuxiliaryMDP:
             k.setflags(write=False)
 
 
-def _player_action_slices(game: ConstrainedMarkovGame, player: int):
-    """For (rec, played) pairs: joint indices carrying rec, and their played twins.
-
-    Returns arrays rec_joint[rec] (joint actions whose player-digit is rec)
-    and played_joint[rec, played] (same joints with the digit replaced).
-    """
-    counts = game.action_counts
-    ai = counts[player]
-    stride = int(np.prod(counts[player + 1:])) if player + 1 < len(counts) else 1
-    digits = np.stack(np.unravel_index(np.arange(game.num_joint_actions), counts), axis=1)
-    rec_joint = [np.flatnonzero(digits[:, player] == r) for r in range(ai)]
-    played = np.empty((ai, ai), dtype=object)
-    for r in range(ai):
-        for p in range(ai):
-            played[r, p] = rec_joint[r] + (p - r) * stride
-    return rec_joint, played
-
-
 def _pair_block(game: ConstrainedMarkovGame, player: int, policy: np.ndarray,
                 t: int) -> tuple[np.ndarray, np.ndarray]:
     """Shared kernel arithmetic for both constructions at timestep t.
 
     Returns (move, stay) where
-      move[s, rec, played, s'] = (1/A_i) * sum_{a^{-i}} P_t(s'|s,(played,a^{-i}))
-                                                       * pi_t((rec,a^{-i})|s)
-      stay[s, rec]             = sum_{a^{-i}} pi_t((rec,a^{-i})|s)
-    and the absorbing mass from (s, rec) is 1 - stay[s, rec].
+      move[s, rec, played, a^{<i}, a^{>i}, s'] = (1/A_i) * P_t(s'|s,(played,a^{-i}))
+                                                        * pi_t((rec,a^{-i})|s)
+      stay[s, rec]                           = sum_{a^{-i}} pi_t((rec,a^{-i})|s)
+    and the absorbing mass from (s, rec) is 1 - stay[s, rec].  The pair MDP
+    sums move over a^{-i}; the history MDP keeps a^{-i} in the next prefix.
     """
-    s_n, ai = game.num_states, game.action_counts[player]
-    rec_joint, played_joint = _player_action_slices(game, player)
-    move = np.zeros((s_n, ai, ai, s_n))
-    stay = np.zeros((s_n, ai))
-    for r in range(ai):
-        pi_slice = policy[t][:, rec_joint[r]]                       # (S, |A^{-i}|)
-        stay[:, r] = pi_slice.sum(axis=1)
-        for p in range(ai):
-            kern = game.kernel[t][:, played_joint[r, p], :]         # (S, |A^{-i}|, S)
-            move[:, r, p, :] = np.einsum("sm,smy->sy", pi_slice, kern) / ai
-    return move, stay
+    pol = split_player_axis(game, policy[t], player)                     # (S, B, A_i, F)
+    kern = split_player_axis(game, game.kernel[t], player, axis=1)       # (S, B, A_i, F, S')
+    move = np.einsum("sbrf,sbpfy->srpbfy", pol, kern) / game.action_counts[player]
+    return move, pol.sum(axis=(1, 3))
+
+
+def _absorbing_kernel(n_t: int, ai: int, n_next: int, stay: np.ndarray) -> np.ndarray:
+    """Zero kernel with the absorbing column filled: 1 - stay[s, rec] from (prefix, s, rec)."""
+    k = np.zeros((n_t + 1, ai, n_next + 1))
+    k[:n_t, :, n_next] = 1.0 - np.tile(stay.reshape(-1), n_t // stay.size)[:, None]
+    k[n_t, :, n_next] = 1.0
+    return k
 
 
 def build_mdp2(game: ConstrainedMarkovGame, player: int,
@@ -99,12 +85,9 @@ def build_mdp2(game: ConstrainedMarkovGame, player: int,
     kernels = []
     for t in range(game.horizon - 1):
         move, stay = _pair_block(game, player, policy, t)
-        k = np.zeros((n + 1, ai, n + 1))
-        # move is constant in the next recommendation rec'; tile it over rec'.
-        flat = np.repeat(move.reshape(n, ai, s_n, 1), ai, axis=3).reshape(n, ai, n)
-        k[:n, :, :n] = flat
-        k[:n, :, n] = 1.0 - stay.reshape(n)[:, None]
-        k[n, :, n] = 1.0
+        k = _absorbing_kernel(n, ai, n, stay)
+        # The next recommendation rec' is uniform: every rec' column gets the move mass.
+        k[:n, :, :n].reshape(s_n, ai, ai, s_n, ai)[...] = move.sum(axis=(3, 4))[..., None]
         kernels.append(k)
     rho = np.zeros(n + 1)
     rho[:n] = np.repeat(game.rho / ai, ai)
@@ -128,35 +111,18 @@ def build_mdp1(game: ConstrainedMarkovGame, player: int, policy: np.ndarray,
         raise CapExceededError(
             f"history MDP would need {max(sizes)} states, cap is {history_cap}")
 
-    rec_joint, played_joint = _player_action_slices(game, player)
     kernels = []
     for t in range(game.horizon - 1):
-        n_t, n_next = sizes[t], sizes[t + 1]
         prefixes = sa ** t
-        k = np.zeros((n_t + 1, ai, n_next + 1))
         move, stay = _pair_block(game, player, policy, t)
-        for h in range(prefixes):
-            for s in range(s_n):
-                base_next_prefix = (h * sa + s * a_n)   # + played joint action
-                for r in range(ai):
-                    x = (h * s_n + s) * ai + r
-                    k[x, :, n_next] = 1.0 - stay[s, r]
-                    for p in range(ai):
-                        joints_rec = rec_joint[r]
-                        joints_played = played_joint[r, p]
-                        pi_w = policy[t][s, joints_rec]              # (|A^{-i}|,)
-                        kern = game.kernel[t][s, joints_played, :]   # (|A^{-i}|, S)
-                        # one target block per surviving a^{-i}
-                        for w, a_pl, row in zip(pi_w, joints_played, kern):
-                            if w == 0.0:
-                                continue
-                            h_next = base_next_prefix + int(a_pl)
-                            block = (h_next * s_n + np.arange(s_n)) * ai
-                            for s2 in range(s_n):
-                                val = w * row[s2] / ai
-                                if val != 0.0:
-                                    k[x, p, block[s2]:block[s2] + ai] += val
-        k[n_t, :, n_next] = 1.0
+        k = _absorbing_kernel(sizes[t], ai, sizes[t + 1], stay)
+        # k[:n_t, :, :n_next] viewed as (h, s, rec, played, h', s', a, s'', rec'')
+        # with the joint a split around player i; a move only ever extends its
+        # own prefix (h' = h, s' = s) by an action whose player-i digit is played.
+        grid = split_player_axis(game, k[:sizes[t], :, :sizes[t + 1]].reshape(
+            (prefixes, s_n, ai, ai, prefixes, s_n, a_n, s_n, ai)), player, axis=6)
+        diagonal = np.einsum("hsrphsbpfyq->hsrpbfyq", grid)
+        diagonal[...] = move[None, ..., None]
         kernels.append(k)
 
     rho = np.zeros(sizes[0] + 1)
@@ -225,19 +191,13 @@ class LiftedReward:
 def lift_reward(game: ConstrainedMarkovGame, player: int, policy: np.ndarray,
                 signal: np.ndarray) -> LiftedReward:
     """Lift a per-step (H, S, A) signal (a reward r^i or any constraint g^{i,j})."""
-    s_n, ai = game.num_states, game.action_counts[player]
-    rec_joint, played_joint = _player_action_slices(game, player)
-    signal = np.asarray(signal, dtype=np.float64)
+    ai = game.action_counts[player]
+    lifted = np.einsum("tsbrf,tsbpf->tsrp", split_player_axis(game, policy, player),
+                       split_player_axis(game, np.asarray(signal, dtype=np.float64), player))
     tables = []
-    for t in range(game.horizon):
-        table = np.zeros((s_n * ai + 1, ai))
-        factor = float(ai) ** (t + 1)
-        for r in range(ai):
-            pi_slice = policy[t][:, rec_joint[r]]            # (S, |A^{-i}|)
-            for p in range(ai):
-                sig = signal[t][:, played_joint[r, p]]       # (S, |A^{-i}|)
-                vals = factor * np.einsum("sm,sm->s", sig, pi_slice)
-                table[np.arange(s_n) * ai + r, p] = vals
+    for t, block in enumerate(lifted):
+        table = np.zeros((block.shape[0] * ai + 1, ai))
+        table[:-1] = float(ai) ** (t + 1) * block.reshape(-1, ai)
         tables.append(table)
     return LiftedReward(player=player, tables=tuple(tables))
 
@@ -296,18 +256,7 @@ def modification_from_alpha(game: ConstrainedMarkovGame, player: int,
     if len(alpha) != len(mods):
         raise ValueError("alpha and modification list lengths differ")
     mdp = build_mdp2(game, player, policy)
-    mixed = None
-    for weight, mod in zip(alpha, mods):
-        occ = aux_occupancy(mdp, mdp_policy_from_modification(mdp, game, mod))
-        stacked = np.stack(occ)
-        mixed = weight * stacked if mixed is None else mixed + weight * stacked
-    ai = mdp.num_actions
-    s_n = game.num_states
-    tables = np.empty((game.horizon, s_n, ai, ai))
-    for t in range(game.horizon):
-        cells = mixed[t][:-1].reshape(s_n, ai, ai)
-        denom = cells.sum(axis=-1, keepdims=True)
-        uniform = np.full_like(cells, 1.0 / ai)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            tables[t] = np.where(denom > 1e-12, cells / denom, uniform)
-    return MarkovModification(player=player, tables=tables)
+    mixed = sum(weight * np.stack(aux_occupancy(mdp, mdp_policy_from_modification(mdp, game, mod)))
+                for weight, mod in zip(alpha, mods))
+    cells = mixed[:, :-1].reshape(game.horizon, game.num_states, mdp.num_actions, mdp.num_actions)
+    return MarkovModification(player=player, tables=normalize_or_uniform(cells))

@@ -2,7 +2,11 @@
 
 Reports go to standard output as JSON (sorted keys, so identical inputs and
 seed produce byte-identical bytes); a human-readable summary goes to standard
-error when it is a terminal and --json was not given.  Exit codes:
+error when it is a terminal and --json was not given.  Every command takes
+--json; --cap (deterministic-modification enumeration cap) applies to the
+commands that enumerate on user input (verify, find, slater, equivalence) and
+--history-cap to equivalence, the only one that processes non-Markov
+modifications.  find exits with its own certificate's verdict.  Exit codes:
 0 success/verdict-positive, 1 validation failure, 2 I/O, 3 not_CE /
 failures found, 4 infeasible, 5 resource cap.
 """
@@ -132,6 +136,12 @@ def _load(path):
 # Subcommands
 # ---------------------------------------------------------------------------
 
+def _verdict_exit(verdict: str) -> int:
+    if verdict == CONSTRAINED_CE:
+        return EXIT_OK
+    return EXIT_INFEASIBLE if verdict == INFEASIBLE_POLICY else EXIT_NOT_CE
+
+
 def cmd_validate(args) -> int:
     game = parse_game_file(args.game)
     report = validate_game(game)
@@ -147,9 +157,7 @@ def cmd_verify(args) -> int:
     results["policy"] = policy.tolist()
     _emit(_report(args, results,
                   {"game": _digest(args.game), "policy": _digest(args.policy)}), args)
-    if cert.verdict == CONSTRAINED_CE:
-        return EXIT_OK
-    return EXIT_INFEASIBLE if cert.verdict == INFEASIBLE_POLICY else EXIT_NOT_CE
+    return _verdict_exit(cert.verdict)
 
 
 def cmd_find(args) -> int:
@@ -160,17 +168,13 @@ def cmd_find(args) -> int:
     initial = load_policy(args.initial, game) if args.initial else None
     result = find_cce(game, initial=initial, max_iters=args.max_iters, tol=args.tol,
                       player_rule=args.rule, cap=args.cap)
-    recheck = verify_cce(game, result.policy, tol=args.tol, cap=args.cap)
     results = {
         "policy": result.policy.tolist(),
         "trace": result.trace.as_dict(),
         "certificate": result.certificate.as_dict(),
-        "recheck_verdict": recheck.verdict,
     }
     _emit(_report(args, results, {"game": _digest(args.game)}), args)
-    if recheck.verdict == CONSTRAINED_CE:
-        return EXIT_OK
-    return EXIT_INFEASIBLE if recheck.verdict == INFEASIBLE_POLICY else EXIT_NOT_CE
+    return _verdict_exit(result.certificate.verdict)
 
 
 def cmd_slater(args) -> int:
@@ -505,17 +509,16 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"cmgames {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, cap=True):
         p.add_argument("--json", action="store_true",
                        help="suppress the human-readable summary on stderr")
-        p.add_argument("--cap", type=int, default=DEFAULT_ENUM_CAP,
-                       help="deterministic-modification enumeration cap")
-        p.add_argument("--history-cap", type=int, default=DEFAULT_HISTORY_CAP,
-                       help="history-state cap for non-Markov processing")
+        if cap:
+            p.add_argument("--cap", type=int, default=DEFAULT_ENUM_CAP,
+                           help="deterministic-modification enumeration cap")
 
     p = sub.add_parser("validate", help="check a game file against its invariants")
     p.add_argument("game")
-    common(p)
+    common(p, cap=False)
     p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("verify", help="certify a policy as a constrained correlated equilibrium")
@@ -531,7 +534,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-iters", type=int, default=10_000)
     p.add_argument("--tol", type=float, default=1e-6)
     p.add_argument("--rule", choices=("max-gap", "round-robin"), default="max-gap")
-    p.add_argument("--seed", type=int, default=0)
     common(p)
     p.set_defaults(func=cmd_find)
 
@@ -548,13 +550,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--player", type=int, default=None)
     p.add_argument("--samples", type=int, default=5)
     p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--history-cap", type=int, default=DEFAULT_HISTORY_CAP,
+                   help="history-state cap for non-Markov processing")
     common(p)
     p.set_defaults(func=cmd_equivalence)
 
     p = sub.add_parser("reproduce-paper", help="re-run the bundled worked-example assertions")
     p.add_argument("--only", choices=("example1", "example2", "equivalence"), default=None)
     p.add_argument("--seed", type=int, default=0)
-    common(p)
+    common(p, cap=False)
     p.set_defaults(func=cmd_reproduce_paper)
 
     return parser

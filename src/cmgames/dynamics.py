@@ -21,7 +21,7 @@ from .game import COMMON, ConstrainedMarkovGame, validate_policy
 # deliberately looser than the 1e-12 structural tolerance on input tables.
 VALUE_TOL = 1e-9
 
-# State marginals below this are treated as unreachable by Γ.
+# Row sums at or below this are treated as unreachable by every read-back.
 ZERO_MARGINAL = 1e-12
 
 
@@ -113,6 +113,18 @@ def feasibility(game: ConstrainedMarkovGame, policy: np.ndarray,
     return FeasibilityReport(player=None, slacks=slacks, tol=tol)
 
 
+def normalize_or_uniform(table: np.ndarray, tol: float = ZERO_MARGINAL) -> np.ndarray:
+    """Divide each last-axis row by its sum; rows summing to at most tol become uniform.
+
+    The one read-back from occupancies to conditional distributions: Γ, the
+    markovianized modification and the alpha-mixture modification all use it.
+    """
+    table = np.asarray(table, dtype=np.float64)
+    total = table.sum(axis=-1, keepdims=True)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return np.where(total > tol, table / total, 1.0 / table.shape[-1])
+
+
 def occupancy_to_policy(game: ConstrainedMarkovGame, occupancy: np.ndarray) -> np.ndarray:
     """The map Γ: normalize d_t(s, .) per state; uniform at unreachable states.
 
@@ -120,14 +132,4 @@ def occupancy_to_policy(game: ConstrainedMarkovGame, occupancy: np.ndarray) -> n
     branch: symmetric, reproducible, and it never excludes actions that a
     later modification might need.
     """
-    occupancy = np.asarray(occupancy, dtype=np.float64)
-    marginal = occupancy.sum(axis=-1)
-    policy = np.empty_like(occupancy)
-    a = occupancy.shape[-1]
-    for t in range(occupancy.shape[0]):
-        for s in range(occupancy.shape[1]):
-            if marginal[t, s] > ZERO_MARGINAL:
-                policy[t, s] = occupancy[t, s] / marginal[t, s]
-            else:
-                policy[t, s] = 1.0 / a
-    return policy
+    return normalize_or_uniform(occupancy)

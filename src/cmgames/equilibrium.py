@@ -173,7 +173,6 @@ def check_weak_slater_at(game: ConstrainedMarkovGame, player: int, policy: np.nd
                                 condition2b=None, min_weight=None, positive_alpha=None,
                                 satisfied=None, branch=None)
 
-    strong = check_strong_slater_at(game, player, policy, cap=cap)
     mdp = build_mdp2(game, player, policy)
     minima = []
     for j in range(game.num_constraints):
@@ -181,12 +180,14 @@ def check_weak_slater_at(game: ConstrainedMarkovGame, player: int, policy: np.nd
         value, _ = optimize_aux(mdp, lifted, direction="min")
         minima.append(value)
     cond2a = all(v < game.threshold(player, j) - BOUNDARY_TOL for j, v in enumerate(minima))
+    # The regularity probe solves the strong-Slater max-min program too.
     regularity = lpmod.check_lp_regularity(game, player, policy, cap=cap)
+    cond1 = regularity.max_min_slack > BOUNDARY_TOL
     cond2b = regularity.positive_weight_feasible
-    satisfied = strong.holds or (cond2a and cond2b)
-    branch = "condition1" if strong.holds else ("condition2" if (cond2a and cond2b) else "none")
+    satisfied = cond1 or (cond2a and cond2b)
+    branch = "condition1" if cond1 else ("condition2" if (cond2a and cond2b) else "none")
     return WeakSlaterResult(player=player, applicable=True, min_slack=min_slack,
-                            condition1=strong.holds, condition2a=cond2a,
+                            condition1=cond1, condition2a=cond2a,
                             minima=tuple(minima), condition2b=cond2b,
                             min_weight=regularity.min_weight,
                             positive_alpha=regularity.positive_alpha,
@@ -416,7 +417,6 @@ class TraceStep:
 @dataclass(frozen=True)
 class FixedPointTrace:
     steps: tuple[TraceStep, ...]
-    iterates: tuple[np.ndarray, ...]
     converged: bool
 
     @property
@@ -477,9 +477,7 @@ def find_cce(game: ConstrainedMarkovGame, initial: np.ndarray | None = None,
 
     two_h = 2.0 * game.horizon
     steps: list[TraceStep] = []
-    iterates: list[np.ndarray] = [d.copy()]
     converged = False
-    policy = occupancy_to_policy(game, d)
 
     # The deterministic-modification family does not depend on the policy;
     # enumerate it once per player.
@@ -496,9 +494,7 @@ def find_cce(game: ConstrainedMarkovGame, initial: np.ndarray | None = None,
             mods, identity_index = families[i]
             vals = lpmod.modification_values(game, i, policy, cap=cap,
                                              mods=mods, identity_index=identity_index)
-            sol = lpmod.solve_lp(lpmod.LinearProgram.build(
-                c=vals.reward, a_ub=vals.constraint, b_ub=vals.thresholds,
-                a_eq=np.ones((1, len(vals.mods))), b_eq=[1.0]))
+            sol = lpmod.solve_lp(lpmod.build_best_modification_lp(vals))
             if sol.status != lpmod.OPTIMAL:
                 raise RuntimeError(f"best-modification program ended {sol.status} mid-search")
             gaps[i] = sol.objective - reward_values[i]
@@ -513,8 +509,9 @@ def find_cce(game: ConstrainedMarkovGame, initial: np.ndarray | None = None,
         d = (1.0 - lam) * d + lam * mixed
         steps.append(TraceStep(iteration=it, gaps=gaps, chosen_player=chosen,
                                step_size=lam, min_slack=_min_slack(game, d)))
-        iterates.append(d.copy())
 
+    # Certify the policy of the returned occupancy, also when the budget ran out.
+    policy = occupancy_to_policy(game, d)
     certificate = verify_cce(game, policy, tol=tol, cap=cap)
-    trace = FixedPointTrace(steps=tuple(steps), iterates=tuple(iterates), converged=converged)
+    trace = FixedPointTrace(steps=tuple(steps), converged=converged)
     return FindResult(policy=policy, occupancy=d, trace=trace, certificate=certificate)

@@ -17,7 +17,7 @@ from .game import ConstrainedMarkovGame
 from .modifications import (
     DEFAULT_ENUM_CAP,
     MarkovModification,
-    _compose_timestep,
+    compose_timestep,
     enumerate_det_modifications,
 )
 
@@ -197,11 +197,11 @@ def batch_modified_occupancies(game: ConstrainedMarkovGame, player: int,
     """
     k, h = stacked_tables.shape[0], game.horizon
     occs = np.empty((k, h, game.num_states, game.num_joint_actions))
-    composed0 = _compose_timestep(game, policy[0], stacked_tables[:, 0], player)
+    composed0 = compose_timestep(game, policy[0], stacked_tables[:, 0], player)
     occs[:, 0] = game.rho[None, :, None] * composed0
     for t in range(1, h):
         marginal = np.einsum("ksa,say->ky", occs[:, t - 1], game.kernel[t - 1])
-        composed = _compose_timestep(game, policy[t], stacked_tables[:, t], player)
+        composed = compose_timestep(game, policy[t], stacked_tables[:, t], player)
         occs[:, t] = marginal[:, :, None] * composed
     return occs
 
@@ -227,11 +227,8 @@ def modification_values(game: ConstrainedMarkovGame, player: int, policy: np.nda
                               constraint=constraint, thresholds=thresholds)
 
 
-def build_best_modification_lp(game: ConstrainedMarkovGame, player: int,
-                               policy: np.ndarray,
-                               cap: int = DEFAULT_ENUM_CAP) -> LinearProgram:
+def build_best_modification_lp(vals: ModificationValues) -> LinearProgram:
     """The program: max sum_k alpha_k V^{r^i}(phi(k) o pi) over i-feasible alpha."""
-    vals = modification_values(game, player, policy, cap=cap)
     return LinearProgram.build(
         c=vals.reward,
         a_ub=vals.constraint, b_ub=vals.thresholds,
@@ -254,7 +251,7 @@ def best_feasible_modification(game: ConstrainedMarkovGame, player: int,
     is not i-feasible; for a feasible policy the identity weight vector is
     always feasible.
     """
-    sol = solve_lp(build_best_modification_lp(game, player, policy, cap=cap))
+    sol = solve_lp(build_best_modification_lp(modification_values(game, player, policy, cap=cap)))
     if sol.status != OPTIMAL:
         return BestModification(status=sol.status, psi=None, alpha=None)
     return BestModification(status=OPTIMAL, psi=sol.objective, alpha=sol.x)

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dynamics import normalize_or_uniform
 from .game import STRUCT_TOL, ConstrainedMarkovGame
 
 # Largest deterministic-modification family we are willing to enumerate.
@@ -105,19 +106,29 @@ def nonmarkov_from_markov(game: ConstrainedMarkovGame,
     return NonMarkovModification(player=mod.player, tables=tables)
 
 
-def _compose_timestep(game: ConstrainedMarkovGame, pi_t: np.ndarray,
-                      phi_t: np.ndarray, player: int) -> np.ndarray:
+def split_player_axis(game: ConstrainedMarkovGame, arr: np.ndarray, player: int,
+                      axis: int = -1) -> np.ndarray:
+    """View a joint-action axis of ``arr`` as three axes (A^{<i}, A^i, A^{>i}).
+
+    Joint actions are row-major over players, so the players before and
+    after i jointly index A^{-i} and the split is a plain reshape: a view
+    even of a strided slice, so writes through it reach ``arr``.
+    """
+    counts = game.action_counts
+    split = (int(np.prod(counts[:player])), counts[player], int(np.prod(counts[player + 1:])))
+    axis %= arr.ndim
+    return arr.reshape(arr.shape[:axis] + split + arr.shape[axis + 1:])
+
+
+def compose_timestep(game: ConstrainedMarkovGame, pi_t: np.ndarray,
+                     phi_t: np.ndarray, player: int) -> np.ndarray:
     """One timestep of the composition formula.
 
     pi_t is (S, A); phi_t is (..., S, A_i, A_i) with optional leading history
     axes that broadcast over the policy.  Returns (..., S, A).
     """
-    counts = game.action_counts
-    resh = pi_t.reshape((pi_t.shape[0],) + counts)
-    moved = np.moveaxis(resh, 1 + player, -1)       # (S, A_{-i}..., A_i)
-    composed = np.einsum("s...k,hskj->hs...j",
-                         moved, phi_t.reshape((-1,) + phi_t.shape[-3:]))
-    composed = np.moveaxis(composed, -1, 2 + player)
+    composed = np.einsum("sbkf,hskj->hsbjf", split_player_axis(game, pi_t, player),
+                         phi_t.reshape((-1,) + phi_t.shape[-3:]))
     return composed.reshape(phi_t.shape[:-3] + pi_t.shape)
 
 
@@ -128,7 +139,7 @@ def apply_modification(game: ConstrainedMarkovGame, policy: np.ndarray,
     policy = np.asarray(policy, dtype=np.float64)
     out = np.empty_like(policy)
     for t in range(game.horizon):
-        out[t] = _compose_timestep(game, policy[t], mod.tables[t], mod.player)
+        out[t] = compose_timestep(game, policy[t], mod.tables[t], mod.player)
     return out
 
 
@@ -153,7 +164,7 @@ def apply_nonmarkov(game: ConstrainedMarkovGame, policy: np.ndarray,
     probs = np.zeros((1, n_s))
     probs[0] = game.rho
     for t in range(h):
-        composed = _compose_timestep(game, policy[t], mod.tables[t], mod.player)
+        composed = compose_timestep(game, policy[t], mod.tables[t], mod.player)
         mass = probs[:, :, None] * composed            # (prefixes, S, A)
         occupancy[t] = mass.sum(axis=0)
         if t + 1 < h:
@@ -190,24 +201,12 @@ def enumerate_det_modifications(game: ConstrainedMarkovGame, player: int,
     if total > cap:
         raise CapExceededError(f"K^i = {total} deterministic modifications exceeds cap {cap}")
 
-    shape = (game.horizon, game.num_states, ai, ai)
-    mods = []
-    for index in range(total):
-        digits = np.empty(cells, dtype=np.int64)
-        rem = index
-        for c in range(cells - 1, -1, -1):
-            digits[c] = rem % ai
-            rem //= ai
-        tables = np.zeros(shape)
-        targets = digits.reshape(game.horizon, game.num_states, ai)
-        t_idx, s_idx, r_idx = np.indices(targets.shape)
-        tables[t_idx, s_idx, r_idx, targets] = 1.0
-        mods.append(MarkovModification(player=player, tables=tables))
-
-    identity_digits = np.tile(np.arange(ai), game.horizon * game.num_states)
-    identity_index = 0
-    for d in identity_digits:
-        identity_index = identity_index * ai + int(d)
+    # Digit c of index k (first cell most significant) is cell c's target.
+    place = ai ** np.arange(cells - 1, -1, -1, dtype=np.int64)
+    digits = np.arange(total, dtype=np.int64)[:, None] // place % ai
+    tables = np.eye(ai)[digits].reshape(total, game.horizon, game.num_states, ai, ai)
+    mods = [MarkovModification(player=player, tables=table) for table in tables]
+    identity_index = int(np.tile(np.arange(ai), game.horizon * game.num_states) @ place)
     return mods, identity_index
 
 
@@ -230,13 +229,6 @@ def markovianize(game: ConstrainedMarkovGame, policy: np.ndarray,
     mdp = build_mdp1(game, mod.player, policy, history_cap=history_cap)
     occ = aux_occupancy(mdp, mdp_policy_from_modification(mdp, game, mod))
     ai = game.action_counts[mod.player]
-    s_n = game.num_states
-    tables = np.empty((game.horizon, s_n, ai, ai))
-    for t in range(game.horizon):
-        # Drop the absorbing row, fold the history prefix axis away.
-        cells = occ[t][:-1].reshape(-1, s_n, ai, ai).sum(axis=0)  # (S, rec, played)
-        denom = cells.sum(axis=-1, keepdims=True)
-        uniform = np.full_like(cells, 1.0 / ai)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            tables[t] = np.where(denom > STRUCT_TOL, cells / denom, uniform)
-    return MarkovModification(player=mod.player, tables=tables)
+    # Drop the absorbing row, fold the history prefix axis away.
+    cells = [table[:-1].reshape(-1, game.num_states, ai, ai).sum(axis=0) for table in occ]
+    return MarkovModification(player=mod.player, tables=normalize_or_uniform(np.stack(cells)))

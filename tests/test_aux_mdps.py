@@ -84,16 +84,21 @@ def test_mdp1_zero_mass_recommendation(toy):
 def test_mdp2_matches_marginalized_mdp1(toy):
     """MDP(2) kernel equals MDP(1)'s with histories folded out (t=0)."""
     rng = np.random.default_rng(3)
-    pol = random_policy(rng, toy)
-    for player in range(2):
-        ai = toy.action_counts[player]
-        m1 = cm.build_mdp1(toy, player, pol)
-        m2 = cm.build_mdp2(toy, player, pol)
-        n = toy.num_states * ai
-        k1 = m1.kernels[0][:n, :, :-1].reshape(n, ai, -1, toy.num_states * ai).sum(axis=2)
-        k2 = m2.kernels[0][:n, :, :n]
-        assert np.abs(k1 - k2).max() <= 1e-12
-        assert np.abs(m1.kernels[0][:n, :, -1] - m2.kernels[0][:n, :, -1]).max() <= 1e-12
+    # the middle player of three and unequal action counts have the least
+    # regular joint-action strides
+    games = [toy] + [random_game(rng, num_states=2, horizon=2, action_counts=counts)
+                     for counts in ((2, 2, 2), (3, 2))]
+    for game in games:
+        pol = random_policy(rng, game)
+        for player in range(game.num_players):
+            ai = game.action_counts[player]
+            m1 = cm.build_mdp1(game, player, pol)
+            m2 = cm.build_mdp2(game, player, pol)
+            n = game.num_states * ai
+            k1 = m1.kernels[0][:n, :, :-1].reshape(n, ai, -1, n).sum(axis=2)
+            k2 = m2.kernels[0][:n, :, :n]
+            assert np.abs(k1 - k2).max() <= 1e-12
+            assert np.abs(m1.kernels[0][:n, :, -1] - m2.kernels[0][:n, :, -1]).max() <= 1e-12
 
 
 def test_mdp2_matches_formula_re_evaluation():
@@ -213,21 +218,29 @@ def test_lift_zero_signal(toy):
     assert value == 0.0
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2])
-def test_lifted_value_identity(toy, seed):
+@pytest.mark.parametrize("seed, action_counts, player", [
+    pytest.param(0, None, 0, id="0"),
+    pytest.param(1, None, 1, id="1"),
+    pytest.param(2, None, 0, id="2"),
+    pytest.param(3, (2, 2, 2), 1, id="2x2x2-player1"),
+    pytest.param(4, (3, 2), 0, id="3x2-player0"),
+    pytest.param(5, (3, 2), 1, id="3x2-player1"),
+])
+def test_lifted_value_identity(toy, seed, action_counts, player):
     """V^{lifted}(phi) equals the signal value of the composed policy."""
     rng = np.random.default_rng(seed)
-    pol = random_policy(rng, toy)
-    player = seed % 2
-    mdp = cm.build_mdp2(toy, player, pol)
-    for signal in (toy.rewards[player], toy.constraint_table(player, 0)):
-        lifted = cm.lift_reward(toy, player, pol, signal)
+    game = toy if action_counts is None else random_game(
+        rng, num_states=2, horizon=2, action_counts=action_counts)
+    pol = random_policy(rng, game)
+    mdp = cm.build_mdp2(game, player, pol)
+    for signal in (game.rewards[player], game.constraint_table(player, 0)):
+        lifted = cm.lift_reward(game, player, pol, signal)
         for _ in range(3):
-            phi = random_markov_mod(rng, toy, player)
-            occ = cm.aux_occupancy(mdp, mdp_policy_from_modification(mdp, toy, phi))
+            phi = random_markov_mod(rng, game, player)
+            occ = cm.aux_occupancy(mdp, mdp_policy_from_modification(mdp, game, phi))
             lhs = lifted_value(mdp, lifted, occ)
-            composed = cm.apply_modification(toy, pol, phi)
-            rhs = float(np.sum(cm.compute_occupancy(toy, composed) * signal))
+            composed = cm.apply_modification(game, pol, phi)
+            rhs = float(np.sum(cm.compute_occupancy(game, composed) * signal))
             assert lhs == pytest.approx(rhs, abs=1e-9)
 
 

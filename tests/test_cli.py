@@ -71,7 +71,7 @@ def test_verify_exit_codes(capsys, tmp_path, paths):
 def test_find_example2(capsys, paths):
     code, rep = run(capsys, "find", paths["example2.game"], "--json")
     assert code == 0
-    assert rep["results"]["recheck_verdict"] == "constrained_CE"
+    assert rep["results"]["certificate"]["verdict"] == "constrained_CE"
     assert rep["results"]["trace"]["converged"]
 
 

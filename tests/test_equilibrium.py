@@ -258,15 +258,18 @@ def test_find_single_player_unconstrained_reaches_optimum():
 
 
 def test_find_trace_invariants(toy):
-    result = cm.find_cce(toy, max_iters=40, tol=1e-6)
+    # The search is deterministic, so each run's occupancy is exactly the
+    # iterate after that many steps.
+    for max_iters in (0, 1, 7, 40):
+        result = cm.find_cce(toy, max_iters=max_iters, tol=1e-6)
+        cm.validate_occupancy(toy, result.occupancy)
+        # the returned policy, and so the certificate, belong to that occupancy
+        assert np.array_equal(result.policy, cm.occupancy_to_policy(toy, result.occupancy))
+        assert result.trace.iterations == max_iters
     assert not result.trace.converged   # this instance stalls; the verdict rules
     for step in result.trace.steps:
         assert 0.0 <= step.step_size <= 0.5
         assert step.min_slack >= -1e-7
-    assert len(result.trace.iterates) == result.trace.iterations + 1
-    for d in result.trace.iterates:
-        cm.validate_occupancy(toy, d)
-    # certificate is for the final iterate's policy
     assert result.certificate.verdict in ("constrained_CE", "not_CE")
 
 

@@ -85,7 +85,7 @@ def test_simplex_matches_bfs_enumeration(seed):
 def test_example2_lp_build():
     game = cm.load_game(cm.bundled_path("example2.game"))
     pol = cm.uniform_policy(game)
-    lp = cm.build_best_modification_lp(game, 0, pol)
+    lp = cm.build_best_modification_lp(modification_values(game, 0, pol))
     assert lp.c.shape == (4,)
     assert lp.a_ub.shape == (4, 4)
     # canonical order [const-1, identity, swap, const-2]

@@ -92,9 +92,13 @@ def test_example2_four_modifications():
 
 def test_singleton_action_set():
     rng = np.random.default_rng(8)
-    game = random_game(rng, num_states=2, horizon=2, action_counts=(1, 3))
-    mods, identity_index = cm.enumerate_det_modifications(game, 0)
-    assert len(mods) == 1 and identity_index == 0
+    # H*|S| = 72 cells is past numpy's 64-axis limit, so digits may not be
+    # computed by unravelling over one axis per cell
+    for num_states, horizon in ((2, 2), (9, 8)):
+        game = random_game(rng, num_states=num_states, horizon=horizon, action_counts=(1, 3))
+        mods, identity_index = cm.enumerate_det_modifications(game, 0)
+        assert len(mods) == 1 and identity_index == 0
+        assert np.array_equal(mods[0].tables, cm.identity_modification(game, 0).tables)
 
 
 def test_enumeration_count_2x2x2():
@@ -196,12 +200,19 @@ def test_markovianize_fixed_point(toy):
         assert np.abs((bar.tables[t] - phi.tables[t])[mask]).max() <= 1e-9
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2])
-def test_markovianize_preserves_occupancy(seed):
+@pytest.mark.parametrize("seed, action_counts, player", [
+    pytest.param(0, (2, 2), 1, id="0"),
+    pytest.param(1, (2, 2), 1, id="1"),
+    pytest.param(2, (2, 2), 1, id="2"),
+    pytest.param(3, (2, 2, 2), 1, id="2x2x2-player1"),
+    pytest.param(4, (3, 2), 0, id="3x2-player0"),
+    pytest.param(5, (3, 2), 1, id="3x2-player1"),
+])
+def test_markovianize_preserves_occupancy(seed, action_counts, player):
     rng = np.random.default_rng(seed)
-    game = random_game(rng, num_states=2, horizon=2)
+    game = random_game(rng, num_states=2, horizon=2, action_counts=action_counts)
     pol = random_policy(rng, game)
-    mod = random_nonmarkov_mod(rng, game, 1)
+    mod = random_nonmarkov_mod(rng, game, player)
     occ_nm = cm.apply_nonmarkov(game, pol, mod)
     assert np.abs(occ_nm - modified_trajectory_occupancy(game, pol, mod)).max() <= 1e-12
     bar = cm.markovianize(game, pol, mod)
