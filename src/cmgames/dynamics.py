@@ -113,8 +113,9 @@ def feasibility(game: ConstrainedMarkovGame, policy: np.ndarray,
     return FeasibilityReport(player=None, slacks=slacks, tol=tol)
 
 
-def normalize_or_uniform(table: np.ndarray, tol: float = ZERO_MARGINAL) -> np.ndarray:
-    """Divide each last-axis row by its sum; rows summing to at most tol become uniform.
+def normalize_or_uniform(table: np.ndarray) -> np.ndarray:
+    """Divide each last-axis row by its sum; rows summing to at most ZERO_MARGINAL
+    become uniform.
 
     The one read-back from occupancies to conditional distributions: Γ, the
     markovianized modification and the alpha-mixture modification all use it.
@@ -122,7 +123,7 @@ def normalize_or_uniform(table: np.ndarray, tol: float = ZERO_MARGINAL) -> np.nd
     table = np.asarray(table, dtype=np.float64)
     total = table.sum(axis=-1, keepdims=True)
     with np.errstate(invalid="ignore", divide="ignore"):
-        return np.where(total > tol, table / total, 1.0 / table.shape[-1])
+        return np.where(total > ZERO_MARGINAL, table / total, 1.0 / table.shape[-1])
 
 
 def occupancy_to_policy(game: ConstrainedMarkovGame, occupancy: np.ndarray) -> np.ndarray:

@@ -203,7 +203,9 @@ def enumerate_det_modifications(game: ConstrainedMarkovGame, player: int,
 
     # Digit c of index k (first cell most significant) is cell c's target.
     place = ai ** np.arange(cells - 1, -1, -1, dtype=np.int64)
-    digits = np.arange(total, dtype=np.int64)[:, None] // place % ai
+    digits = np.arange(total, dtype=np.int64)[:, None] // place
+    np.remainder(digits, ai, out=digits)
+    digits = digits.astype(np.min_scalar_type(ai - 1))  # one byte per digit
     tables = np.eye(ai)[digits].reshape(total, game.horizon, game.num_states, ai, ai)
     mods = [MarkovModification(player=player, tables=table) for table in tables]
     identity_index = int(np.tile(np.arange(ai), game.horizon * game.num_states) @ place)

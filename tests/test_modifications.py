@@ -5,7 +5,7 @@ import pytest
 
 import cmgames as cm
 from cmgames.aux_mdps import mdp_policy_from_modification
-from cmgames.modifications import CapExceededError
+from cmgames.modifications import CapExceededError, count_det_modifications
 from oracles import (
     composed_policy_oracle,
     modified_trajectory_occupancy,
@@ -109,6 +109,14 @@ def test_enumeration_count_2x2x2():
     assert len({m.tables.tobytes() for m in mods}) == 256   # all distinct
     ident = cm.identity_modification(game, 1)
     assert np.array_equal(mods[identity_index].tables, ident.tables)
+    # family size and identity index for every player of (2,2), (3,2), (2,2,2)
+    for counts in ((2, 2), (3, 2), (2, 2, 2)):
+        game = random_game(rng, num_states=2, horizon=1, action_counts=counts)
+        for player in range(game.num_players):
+            mods, identity_index = cm.enumerate_det_modifications(game, player)
+            assert len(mods) == count_det_modifications(game, player)
+            ident = cm.identity_modification(game, player)
+            assert np.array_equal(mods[identity_index].tables, ident.tables)
 
 
 def test_enumeration_cap():

@@ -4,12 +4,6 @@ import importlib
 import importlib.util
 from pathlib import Path
 
-import numpy as np
-
-import cmgames as cm
-from cmgames.modifications import count_det_modifications
-from oracles import random_game
-
 SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
 
 
@@ -22,12 +16,3 @@ def test_traced_functions_resolve_on_home_module():
         for fn_name in fn_names:
             assert callable(getattr(home, fn_name, None)), f"cmgames.{mod_name}.{fn_name}"
 
-
-def test_enumeration_returns_family_and_identity_index():
-    rng = np.random.default_rng(0)
-    for counts in ((2, 2), (3, 2), (2, 2, 2)):
-        game = random_game(rng, num_states=2, horizon=1, action_counts=counts)
-        for player in range(game.num_players):
-            mods, identity_index = cm.enumerate_det_modifications(game, player)
-            assert len(mods) == count_det_modifications(game, player)
-            assert 0 <= identity_index < len(mods)
