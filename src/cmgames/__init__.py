@@ -49,8 +49,11 @@ from .aux_mdps import (
 from .lp import (
     LinearProgram,
     LPSolution,
+    NumericalLPError,
     best_feasible_modification,
+    best_markov_modification,
     build_best_modification_lp,
+    build_pair_occupancy_lp,
     check_lp_regularity,
     hull_membership,
     mix_occupancies,

@@ -4,11 +4,13 @@ Reports go to standard output as JSON (sorted keys, so identical inputs and
 seed produce byte-identical bytes); a human-readable summary goes to standard
 error when it is a terminal and --json was not given.  Every command takes
 --json; --cap (deterministic-modification enumeration cap) applies to the
-commands that enumerate on user input (verify, find, slater, equivalence) and
+commands that enumerate on user input (find, slater, equivalence) and
 --history-cap to equivalence, the only one that processes non-Markov
-modifications.  find exits with its own certificate's verdict.  Exit codes:
-0 success/verdict-positive, 1 validation failure, 2 I/O, 3 not_CE /
-failures found, 4 infeasible, 5 resource cap.
+modifications.  verify solves a polynomial program and enumerates nothing.
+find exits with its own certificate's verdict.  Exit codes: 0
+success/verdict-positive, 1 validation failure, 2 I/O, 3 not_CE / failures
+found, 4 infeasible, 5 resource cap, 6 numerical trouble in a linear
+program (singular basis or pivot limit).
 """
 
 from __future__ import annotations
@@ -46,6 +48,7 @@ from .game import (
     validate_game,
 )
 from .lp import (
+    NumericalLPError,
     best_feasible_modification,
     check_lp_regularity,
     hull_membership,
@@ -69,6 +72,7 @@ EXIT_IO = 2
 EXIT_NOT_CE = 3
 EXIT_INFEASIBLE = 4
 EXIT_CAP = 5
+EXIT_NUMERICAL = 6
 
 
 def _digest(path) -> str:
@@ -152,7 +156,7 @@ def cmd_validate(args) -> int:
 def cmd_verify(args) -> int:
     game = _load(args.game)
     policy = load_policy(args.policy, game)
-    cert = verify_cce(game, policy, tol=args.tol, cap=args.cap)
+    cert = verify_cce(game, policy, tol=args.tol)
     results = cert.as_dict()
     results["policy"] = policy.tolist()
     _emit(_report(args, results,
@@ -525,7 +529,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("game")
     p.add_argument("policy")
     p.add_argument("--tol", type=float, default=1e-9)
-    common(p)
+    common(p, cap=False)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("find", help="fixed-point search for an equilibrium (common mode)")
@@ -585,6 +589,9 @@ def main(argv=None) -> int:
     except NoFeasibleStartError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INFEASIBLE
+    except NumericalLPError as exc:
+        sys.stderr.write(f"error: {exc}\n")
+        return EXIT_NUMERICAL
     except ValueError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_VALIDATION

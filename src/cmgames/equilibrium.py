@@ -5,10 +5,15 @@ no player's best feasible modification gains anything: for every i,
 
     Psi^i(pi) <= V^{r^i}(pi),
 
-where Psi^i is the optimum of the best-feasible-modification program over
-weight vectors on the deterministic Markov modifications.  By the
-modification-class equivalences this certifies robustness against the full
-history-dependent stochastic class as well.
+where Psi^i is the best feasible deviation value.  verify_cce takes it from
+the occupancy program of the pair MDP, whose policies are the stochastic
+Markov modifications: H*|S|*|A^i|^2 variables instead of weights on all
+K^i = |A^i|^(H*|S|*|A^i|) deterministic ones.  The two optima agree because
+stochastic Markov modifications are the convex hull of the deterministic
+ones (in occupancy), and by the modification-class equivalences the
+certificate covers the full history-dependent stochastic class as well.
+The fixed-point search and the Slater checks still work over the
+enumerated family, whose weight vectors they report.
 """
 
 from __future__ import annotations
@@ -62,11 +67,17 @@ class EquilibriumCertificate:
         }
 
 
-def verify_cce(game: ConstrainedMarkovGame, policy: np.ndarray, tol: float = BOUNDARY_TOL,
-               cap: int = DEFAULT_ENUM_CAP) -> EquilibriumCertificate:
+def verify_cce(game: ConstrainedMarkovGame, policy: np.ndarray,
+               tol: float = BOUNDARY_TOL) -> EquilibriumCertificate:
     """Certificate for the constrained-correlated-equilibrium conditions.
 
     Verdict is constrained_CE iff all slacks >= -tol and all gaps <= tol.
+    Psi^i is the optimum of the pair-MDP occupancy program
+    (lp.best_markov_modification), which equals the best-feasible-modification
+    program over the deterministic family: stochastic Markov modifications
+    are its convex hull, and the modification classes give the same
+    equilibrium notion.  Raises NumericalLPError when a program hits
+    numerical trouble.
     """
     validate_policy(game, policy)
     occupancy = compute_occupancy(game, policy)
@@ -78,11 +89,8 @@ def verify_cce(game: ConstrainedMarkovGame, policy: np.ndarray, tol: float = BOU
                                       reward_values=values.reward)
     psi = np.empty(game.num_players)
     for i in range(game.num_players):
-        best = lpmod.best_feasible_modification(game, i, policy, cap=cap)
-        if best.status != lpmod.OPTIMAL:
-            raise RuntimeError(
-                f"best-modification program for player {i} ended {best.status} "
-                "on a feasible policy")
+        best = lpmod.best_markov_modification(game, i, policy)
+        lpmod.require_optimal(best.status, f"best-modification program for player {i}")
         psi[i] = best.psi
     gaps = psi - values.reward
     verdict = CONSTRAINED_CE if gaps.max() <= tol else NOT_CE
@@ -360,7 +368,8 @@ def feasible_occupancy(game: ConstrainedMarkovGame) -> np.ndarray | None:
     """A point of the occupancy polytope meeting all constraint rows, or None.
 
     Flow-consistency and constraint rows are linear in the occupancy, so this
-    is a single phase-1 feasibility program.
+    is a single phase-1 feasibility program.  Numerical trouble raises
+    NumericalLPError rather than passing for an empty polytope.
     """
     h, s, a = game.horizon, game.num_states, game.num_joint_actions
     n = h * s * a
@@ -398,8 +407,9 @@ def feasible_occupancy(game: ConstrainedMarkovGame) -> np.ndarray | None:
         a_ub=np.array(rows_ub) if rows_ub else None,
         b_ub=np.array(rhs_ub) if rhs_ub else None,
         a_eq=np.array(rows_eq), b_eq=np.array(rhs_eq)))
-    if sol.status != lpmod.OPTIMAL:
+    if sol.status == lpmod.INFEASIBLE:
         return None
+    lpmod.require_optimal(sol.status, "feasible-occupancy program")
     occupancy = sol.x.reshape(h, s, a)
     validate_occupancy(game, occupancy)
     return occupancy
@@ -480,9 +490,11 @@ def find_cce(game: ConstrainedMarkovGame, initial: np.ndarray | None = None,
     converged = False
 
     # The deterministic-modification family does not depend on the policy;
-    # enumerate it once per player.
-    families = [enumerate_det_modifications(game, i, cap=cap)
-                for i in range(game.num_players)]
+    # enumerate and stack it once per player.
+    families = []
+    for i in range(game.num_players):
+        mods, identity_index = enumerate_det_modifications(game, i, cap=cap)
+        families.append((mods, identity_index, np.stack([mod.tables for mod in mods])))
 
     for it in range(max_iters):
         policy = occupancy_to_policy(game, d)
@@ -491,12 +503,11 @@ def find_cce(game: ConstrainedMarkovGame, initial: np.ndarray | None = None,
         gaps = np.empty(game.num_players)
         per_player = []
         for i in range(game.num_players):
-            mods, identity_index = families[i]
-            vals = lpmod.modification_values(game, i, policy, cap=cap,
-                                             mods=mods, identity_index=identity_index)
+            mods, identity_index, tables = families[i]
+            vals = lpmod.modification_values(game, i, policy, mods=mods,
+                                             identity_index=identity_index, tables=tables)
             sol = lpmod.solve_lp(lpmod.build_best_modification_lp(vals))
-            if sol.status != lpmod.OPTIMAL:
-                raise RuntimeError(f"best-modification program ended {sol.status} mid-search")
+            lpmod.require_optimal(sol.status, "best-modification program mid-search")
             gaps[i] = sol.objective - reward_values[i]
             per_player.append((sol.x, vals.occupancies))
         if gaps.max() <= tol:
@@ -512,6 +523,6 @@ def find_cce(game: ConstrainedMarkovGame, initial: np.ndarray | None = None,
 
     # Certify the policy of the returned occupancy, also when the budget ran out.
     policy = occupancy_to_policy(game, d)
-    certificate = verify_cce(game, policy, tol=tol, cap=cap)
+    certificate = verify_cce(game, policy, tol=tol)
     trace = FixedPointTrace(steps=tuple(steps), converged=converged)
     return FindResult(policy=policy, occupancy=d, trace=trace, certificate=certificate)

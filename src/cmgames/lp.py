@@ -3,8 +3,9 @@
 The solver handles   max c.x  s.t.  A_ub x >= b_ub,  A_eq x = b_eq,  x >= 0
 with Bland's rule throughout, so it terminates on degenerate problems and
 always returns the same vertex for the same input.  Everything downstream
-(best-feasible-modification programs, hull membership, max-min slack
-programs, regularity probes) reduces to this form.
+(the pair-MDP occupancy program behind Psi^i, best-feasible-modification
+programs, hull membership, max-min slack programs, regularity probes)
+reduces to this form.
 """
 
 from __future__ import annotations
@@ -13,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .aux_mdps import build_mdp2, lift_reward
+from .dynamics import normalize_or_uniform
 from .game import ConstrainedMarkovGame
 from .modifications import (
     DEFAULT_ENUM_CAP,
@@ -29,6 +32,19 @@ HULL_TOL = 1e-7
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
+NUMERICAL = "numerical"   # singular basis or pivot limit: roundoff, not the program
+
+
+class NumericalLPError(RuntimeError):
+    """A program that must be solvable ended with status NUMERICAL."""
+
+
+def require_optimal(status: str, what: str) -> None:
+    """Raise NumericalLPError on NUMERICAL and RuntimeError on any other non-optimal status."""
+    if status == NUMERICAL:
+        raise NumericalLPError(f"{what} hit a singular basis or the pivot limit")
+    if status != OPTIMAL:
+        raise RuntimeError(f"{what} ended {status}")
 
 
 @dataclass(frozen=True)
@@ -70,17 +86,15 @@ def _bland_pivots(a: np.ndarray, b: np.ndarray, cost: np.ndarray,
     Each iteration re-solves against the original data, so degenerate pivot
     chains cannot accumulate roundoff.  Entering column: the lowest-index
     column < ``allowed`` with negative reduced cost; leaving row: minimum
-    ratio, ties broken by the smallest basic variable index.
+    ratio, ties broken by the smallest basic variable index.  Returns
+    NUMERICAL at the pivot limit; a singular basis raises LinAlgError.
     """
     m = a.shape[0]
     max_pivots = 200 * (m + a.shape[1] + 10)
     for _ in range(max_pivots):
         bmat = a[:, basis]
-        try:
-            x_b = np.linalg.solve(bmat, b)
-            y = np.linalg.solve(bmat.T, cost[basis])
-        except np.linalg.LinAlgError:
-            return "singular"
+        x_b = np.linalg.solve(bmat, b)
+        y = np.linalg.solve(bmat.T, cost[basis])
         reduced = cost[:allowed] - y @ a[:, :allowed]
         candidates = np.flatnonzero(reduced < -LP_TOL)
         if candidates.size == 0:
@@ -96,11 +110,23 @@ def _bland_pivots(a: np.ndarray, b: np.ndarray, cost: np.ndarray,
         tied = np.flatnonzero(ratios <= best + 1e-12)
         leave = int(tied[np.argmin(basis[tied])])
         basis[leave] = enter
-    raise RuntimeError("simplex did not terminate (pivot limit reached)")
+    return NUMERICAL
 
 
 def solve_lp(lp: LinearProgram) -> LPSolution:
-    """Two-phase dense simplex with Bland's rule; statuses, never exceptions."""
+    """Two-phase dense simplex with Bland's rule; statuses, never exceptions.
+
+    A singular basis, the pivot limit, or a phase 1 that does not end
+    optimal (its objective is bounded below by 0) is reported as NUMERICAL:
+    roundoff decided the outcome, not the program.
+    """
+    try:
+        return _two_phase(lp)
+    except np.linalg.LinAlgError:
+        return LPSolution(status=NUMERICAL, x=None, objective=None)
+
+
+def _two_phase(lp: LinearProgram) -> LPSolution:
     n = lp.c.shape[0]
     if n < 1:
         raise ValueError("linear program needs at least one variable")
@@ -129,8 +155,8 @@ def solve_lp(lp: LinearProgram) -> LPSolution:
     cost1 = np.concatenate([np.zeros(n_slack), np.ones(m)])
     basis = np.arange(n_slack, n_slack + m)
     status = _bland_pivots(a1, b, cost1, basis, allowed=n_slack + m)
-    if status != OPTIMAL:   # phase 1 is bounded below by 0; anything else is numerical
-        return LPSolution(status=INFEASIBLE, x=None, objective=None)
+    if status != OPTIMAL:
+        return LPSolution(status=NUMERICAL, x=None, objective=None)
     x_b = np.linalg.solve(a1[:, basis], b)
     feas_tol = LP_TOL * max(1.0, float(np.abs(b).max(initial=0.0)))
     if float(cost1[basis] @ x_b) > feas_tol:
@@ -158,10 +184,8 @@ def solve_lp(lp: LinearProgram) -> LPSolution:
     cost2 = np.zeros(n_slack)
     cost2[:n] = -lp.c
     status = _bland_pivots(a, b, cost2, basis, allowed=n_slack)
-    if status == UNBOUNDED:
-        return LPSolution(status=UNBOUNDED, x=None, objective=None)
     if status != OPTIMAL:
-        return LPSolution(status=INFEASIBLE, x=None, objective=None)
+        return LPSolution(status=status, x=None, objective=None)
 
     x_full = np.zeros(n_slack)
     x_full[basis] = np.linalg.solve(a[:, basis], b)
@@ -209,11 +233,18 @@ def batch_modified_occupancies(game: ConstrainedMarkovGame, player: int,
 def modification_values(game: ConstrainedMarkovGame, player: int, policy: np.ndarray,
                         cap: int = DEFAULT_ENUM_CAP,
                         mods: list[MarkovModification] | None = None,
-                        identity_index: int | None = None) -> ModificationValues:
+                        identity_index: int | None = None,
+                        tables: np.ndarray | None = None) -> ModificationValues:
+    """Values of every deterministic modification of ``player`` under ``policy``.
+
+    ``mods`` and ``identity_index`` default to a fresh enumeration; ``tables``
+    is their (K, H, S, A_i, A_i) block, for callers that keep it across calls.
+    """
     if mods is None:
         mods, identity_index = enumerate_det_modifications(game, player, cap=cap)
-    stacked = np.stack([mod.tables for mod in mods])
-    occs = batch_modified_occupancies(game, player, policy, stacked)
+    if tables is None:
+        tables = np.stack([mod.tables for mod in mods])
+    occs = batch_modified_occupancies(game, player, policy, tables)
     flat = occs.reshape(len(mods), -1)
     reward = flat @ game.rewards[player].reshape(-1)
     j = game.num_constraints
@@ -247,6 +278,10 @@ def best_feasible_modification(game: ConstrainedMarkovGame, player: int,
                                cap: int = DEFAULT_ENUM_CAP) -> BestModification:
     """Psi^i(pi) and one optimal weight vector (the Bland-rule vertex).
 
+    This is the alpha-level program over the enumerated deterministic
+    family, K^i variables.  verify_cce takes Psi^i from the polynomial
+    pair-MDP program (best_markov_modification) instead; this one is kept
+    for the paper's claims about alpha vectors and as the oracle for it.
     Infeasible status is possible in playerwise mode when the policy itself
     is not i-feasible; for a feasible policy the identity weight vector is
     always feasible.
@@ -255,6 +290,72 @@ def best_feasible_modification(game: ConstrainedMarkovGame, player: int,
     if sol.status != OPTIMAL:
         return BestModification(status=sol.status, psi=None, alpha=None)
     return BestModification(status=OPTIMAL, psi=sol.objective, alpha=sol.x)
+
+
+# ---------------------------------------------------------------------------
+# The pair-MDP occupancy program
+# ---------------------------------------------------------------------------
+
+def build_pair_occupancy_lp(game: ConstrainedMarkovGame, player: int,
+                            policy: np.ndarray) -> LinearProgram:
+    """The constrained-MDP occupancy program of the pair MDP (Altman 1999).
+
+    Variables are x_t((s, r), p), the pair-MDP occupancy without the
+    absorbing state b (it earns nothing and never flows back), row-major
+    over (t, s, r, p): H*|S|*|A_i|^2 of them.  Equality rows are flow
+    conservation per (t, (s, r)) under build_mdp2's kernels and rho; the
+    objective is the lifted reward r^i and each lifted constraint
+    g^{i,j} must reach c^{i,j}.
+    """
+    mdp = build_mdp2(game, player, policy)
+    h, n, ai = game.horizon, mdp.num_states[0], mdp.num_actions
+    flow = np.zeros((h, n, h, n, ai))        # [t, y, t', x, p]
+    for t in range(h):
+        flow[t, :, t] = np.eye(n)[:, :, None]
+        if t:
+            flow[t, :, t - 1] = -mdp.kernels[t - 1][:n, :, :n].transpose(2, 0, 1)
+    inflow = np.zeros((h, n))
+    inflow[0] = mdp.rho[:n]
+
+    def lifted(signal):
+        tables = lift_reward(game, player, policy, signal).tables
+        return np.concatenate([table[:-1].reshape(-1) for table in tables])
+
+    j = game.num_constraints
+    return LinearProgram.build(
+        c=lifted(game.rewards[player]),
+        a_ub=np.array([lifted(game.constraint_table(player, k)) for k in range(j)]),
+        b_ub=[game.threshold(player, k) for k in range(j)],
+        a_eq=flow.reshape(h * n, -1), b_eq=inflow.reshape(-1))
+
+
+@dataclass(frozen=True)
+class BestMarkovModification:
+    status: str
+    psi: float | None
+    modification: MarkovModification | None
+
+
+def best_markov_modification(game: ConstrainedMarkovGame, player: int,
+                             policy: np.ndarray) -> BestMarkovModification:
+    """Psi^i(pi) from the pair-MDP occupancy program, with a modification attaining it.
+
+    Stochastic Markov modifications are exactly the pair MDP's policies, and
+    their pair occupancies form the polytope of the program, the convex hull
+    of the deterministic modifications' occupancies; so the optimum equals
+    best_feasible_modification's without enumerating K^i modifications.
+    The modification is read back from x per (t, s, r) cell, uniform where
+    the cell is unreachable, so apply_modification can check Psi^i and the
+    constraints independently.
+    """
+    sol = solve_lp(build_pair_occupancy_lp(game, player, policy))
+    if sol.status != OPTIMAL:
+        return BestMarkovModification(status=sol.status, psi=None, modification=None)
+    ai = game.action_counts[player]
+    cells = sol.x.reshape(game.horizon, game.num_states, ai, ai)
+    return BestMarkovModification(
+        status=OPTIMAL, psi=sol.objective,
+        modification=MarkovModification(player=player, tables=normalize_or_uniform(cells)))
 
 
 # ---------------------------------------------------------------------------
@@ -328,8 +429,7 @@ def max_min_slack(constraint: np.ndarray, thresholds: np.ndarray
     a_eq[0, :k] = 1.0
     sol = solve_lp(LinearProgram.build(c=c, a_ub=a_ub, b_ub=thresholds,
                                        a_eq=a_eq, b_eq=[1.0]))
-    if sol.status != OPTIMAL:
-        raise RuntimeError(f"max-min slack program ended {sol.status}")
+    require_optimal(sol.status, "max-min slack program")
     return float(sol.objective), sol.x[:k]
 
 

@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 import cmgames as cm
@@ -66,6 +67,24 @@ def test_verify_exit_codes(capsys, tmp_path, paths):
     p.write_text('{"policy": [[[0, 0, 0, 1]]]}')
     code, rep = run(capsys, "verify", paths["example1.game"], str(p), "--json")
     assert code == 4 and rep["results"]["verdict"] == "infeasible_policy"
+
+
+def test_verify_numerical_exit_code(capsys, monkeypatch, paths):
+    def singular(*args, **kwargs):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(np.linalg, "solve", singular)
+    code = main(["verify", paths["example2.game"], paths["uniform.policy"], "--json"])
+    captured = capsys.readouterr()
+    assert code == 6
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
+
+
+def test_verify_takes_no_cap(capsys, paths):
+    with pytest.raises(SystemExit):
+        main(["verify", paths["example2.game"], paths["uniform.policy"], "--cap", "10"])
 
 
 def test_find_example2(capsys, paths):

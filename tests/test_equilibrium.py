@@ -48,6 +48,20 @@ def test_verify_infeasible_policy(example1):
     assert cert.slacks.min() < 0
 
 
+def test_numerical_lp_status_raises(example2, monkeypatch):
+    def singular(*args, **kwargs):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(np.linalg, "solve", singular)
+    uniform = cm.uniform_policy(example2)
+    with pytest.raises(cm.NumericalLPError):
+        cm.verify_cce(example2, uniform)
+    with pytest.raises(cm.NumericalLPError):
+        cm.find_cce(example2, initial=uniform)
+    with pytest.raises(cm.NumericalLPError):
+        cm.feasible_occupancy(example2)
+
+
 def test_verify_dominates_sampled_feasible_modifications(toy):
     """The LP gap is an upper bound on every feasible stochastic deviation's gain."""
     rng = np.random.default_rng(0)

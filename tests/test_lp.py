@@ -33,6 +33,17 @@ def test_simplex_unbounded():
     assert solve_lp(lp).status == "unbounded"
 
 
+def _singular(*args, **kwargs):
+    raise np.linalg.LinAlgError("Singular matrix")
+
+
+def test_simplex_singular_basis_is_numerical(monkeypatch):
+    monkeypatch.setattr(np.linalg, "solve", _singular)
+    lp = LinearProgram.build(c=[1.0, 0.0], a_eq=[[1.0, 1.0]], b_eq=[1.0])
+    sol = solve_lp(lp)
+    assert sol.status == "numerical" and sol.x is None and sol.objective is None
+
+
 def test_simplex_no_constraints():
     assert solve_lp(LinearProgram.build(c=[-1.0, -2.0])).objective == 0.0
     assert solve_lp(LinearProgram.build(c=[1.0])).status == "unbounded"

@@ -1,0 +1,115 @@
+"""The pair-MDP occupancy program behind Psi^i, against the enumerated alpha-program."""
+
+import numpy as np
+import pytest
+
+import cmgames as cm
+from cmgames.equilibrium import BOUNDARY_TOL, feasible_occupancy
+from cmgames.lp import (
+    best_feasible_modification,
+    best_markov_modification,
+    build_pair_occupancy_lp,
+    solve_lp,
+)
+from cmgames.modifications import DEFAULT_ENUM_CAP, count_det_modifications
+from oracles import random_game, random_policy
+
+# (|S|, H, action counts): H = 1..3, a three-action player, three players and
+# single-action players; every family stays small enough to enumerate.
+SHAPES = [
+    (2, 1, (2, 2)),
+    (2, 2, (2, 2)),
+    (1, 3, (2, 2)),
+    (2, 1, (3, 2)),
+    (1, 2, (3, 2)),
+    (2, 2, (2, 2, 2)),
+    (2, 1, (2, 1)),
+    (1, 2, (1, 3)),
+]
+SEEDS = range(4)
+
+
+def _shape_id(shape):
+    num_states, horizon, counts = shape
+    return f"S{num_states}-H{horizon}-A{'x'.join(map(str, counts))}"
+
+
+def _policies(game, rng):
+    """A Dirichlet policy and Gamma of a simplex vertex (degenerate, with zero rows)."""
+    yield random_policy(rng, game)
+    vertex = feasible_occupancy(game)
+    assert vertex is not None
+    yield cm.occupancy_to_policy(game, vertex)
+
+
+def _check_modification(game, player, policy, best):
+    """apply_modification with the returned modification reproduces Psi and meets the constraints."""
+    values = cm.evaluate(game, cm.compute_occupancy(
+        game, cm.apply_modification(game, policy, best.modification)))
+    assert values.reward[player] == pytest.approx(best.psi, abs=1e-9)
+    thresholds = [game.threshold(player, j) for j in range(game.num_constraints)]
+    assert np.all(values.constraint[player] >= np.array(thresholds) - 1e-9)
+
+
+@pytest.mark.parametrize("mode", ["common", "playerwise"])
+@pytest.mark.parametrize("shape", SHAPES, ids=_shape_id)
+def test_compact_psi_equals_enumerated_psi(shape, mode):
+    # 8 shapes x 2 modes x 4 seeds x 2 policies = 128 seeded games.
+    num_states, horizon, counts = shape
+    optimal = 0
+    for seed in SEEDS:
+        rng = np.random.default_rng(1000 + seed)
+        game = random_game(rng, num_states, horizon, counts, j=2, mode=mode)
+        for policy in _policies(game, rng):
+            for player in range(game.num_players):
+                compact = best_markov_modification(game, player, policy)
+                enumerated = best_feasible_modification(game, player, policy)
+                assert compact.status == enumerated.status
+                if compact.status != "optimal":
+                    continue
+                optimal += 1
+                assert compact.psi == pytest.approx(enumerated.psi, abs=1e-9)
+                _check_modification(game, player, policy, compact)
+    assert optimal >= len(SEEDS) * len(counts)   # at least every Gamma(vertex) policy
+
+
+def test_verify_beyond_the_enumeration_cap():
+    rng = np.random.default_rng(7)
+    game = random_game(rng, num_states=3, horizon=3, action_counts=(3, 2))
+    assert count_det_modifications(game, 0) > DEFAULT_ENUM_CAP
+    policy = random_policy(rng, game)
+    cert = cm.verify_cce(game, policy)
+    assert cert.psi is not None
+    assert np.all(cert.psi >= cert.reward_values - BOUNDARY_TOL)
+    for player in range(game.num_players):
+        _check_modification(game, player, policy,
+                            best_markov_modification(game, player, policy))
+
+
+def _highs(lp):
+    from scipy.optimize import linprog
+
+    res = linprog(-lp.c, A_ub=-lp.a_ub if lp.a_ub.size else None,
+                  b_ub=-lp.b_ub if lp.b_ub.size else None,
+                  A_eq=lp.a_eq, b_eq=lp.b_eq, bounds=(0, None), method="highs",
+                  options={"primal_feasibility_tolerance": 1e-10,
+                           "dual_feasibility_tolerance": 1e-10})
+    return {0: "optimal", 2: "infeasible"}[res.status], (-res.fun if res.status == 0 else None)
+
+
+@pytest.mark.parametrize("shape", SHAPES + [(3, 3, (2, 2)), (2, 2, (3, 2)), (3, 3, (3, 2))],
+                         ids=_shape_id)
+def test_pair_program_matches_highs(shape):
+    pytest.importorskip("scipy")
+    num_states, horizon, counts = shape
+    rng = np.random.default_rng(2000 + len(counts) * 100 + num_states * 10 + horizon)
+    for mode in ("common", "playerwise"):
+        game = random_game(rng, num_states, horizon, counts, j=2, mode=mode)
+        for policy in _policies(game, rng):
+            for player in range(game.num_players):
+                lp = build_pair_occupancy_lp(game, player, policy)
+                sol = solve_lp(lp)
+                status, objective = _highs(lp)
+                assert sol.status == status
+                if status == "optimal":
+                    assert sol.objective == pytest.approx(objective, abs=1e-9)
