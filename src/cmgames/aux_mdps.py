@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import normalize_or_uniform
+from .dynamics import normalize_or_uniform, propagate
 from .game import ConstrainedMarkovGame
 from .modifications import (
     DEFAULT_HISTORY_CAP,
@@ -158,13 +158,13 @@ def mdp_policy_from_modification(mdp: AuxiliaryMDP, game: ConstrainedMarkovGame,
     return out
 
 
-def aux_occupancy(mdp: AuxiliaryMDP, policy_tables: list[np.ndarray]) -> list[np.ndarray]:
-    """Forward occupancy per timestep over (state, action), mass 1 including b."""
-    occ = [mdp.rho[:, None] * policy_tables[0]]
-    for t in range(mdp.horizon - 1):
-        marginal = np.einsum("xa,xay->y", occ[t], mdp.kernels[t])
-        occ.append(marginal[:, None] * policy_tables[t + 1])
-    return occ
+def aux_occupancy(mdp: AuxiliaryMDP, policy_tables) -> list[np.ndarray]:
+    """Forward occupancy per timestep over (state, action), mass 1 including b.
+
+    policy_tables[t] is (..., n_t + 1, A_i); leading axes propagate a stack
+    of policies at once.
+    """
+    return list(propagate(mdp.rho, mdp.kernels, policy_tables))
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +256,8 @@ def modification_from_alpha(game: ConstrainedMarkovGame, player: int,
     if len(alpha) != len(mods):
         raise ValueError("alpha and modification list lengths differ")
     mdp = build_mdp2(game, player, policy)
-    mixed = sum(weight * np.stack(aux_occupancy(mdp, mdp_policy_from_modification(mdp, game, mod)))
-                for weight, mod in zip(alpha, mods))
+    # All K pair-MDP policies as one (H, K, n + 1, A_i) stack, propagated at once.
+    tables = np.stack([mdp_policy_from_modification(mdp, game, mod) for mod in mods], axis=1)
+    mixed = np.einsum("k,tkxa->txa", alpha, np.stack(aux_occupancy(mdp, tables)))
     cells = mixed[:, :-1].reshape(game.horizon, game.num_states, mdp.num_actions, mdp.num_actions)
     return MarkovModification(player=player, tables=normalize_or_uniform(cells))

@@ -8,9 +8,10 @@ commands that enumerate on user input (find, slater, equivalence) and
 --history-cap to equivalence, the only one that processes non-Markov
 modifications.  verify solves a polynomial program and enumerates nothing.
 find exits with its own certificate's verdict.  Exit codes: 0
-success/verdict-positive, 1 validation failure, 2 I/O, 3 not_CE / failures
-found, 4 infeasible, 5 resource cap, 6 numerical trouble in a linear
-program (singular basis or pivot limit).
+success/verdict-positive, 1 validation failure, 2 I/O (any unreadable path
+or malformed file), 3 not_CE / failures found, 4 infeasible, 5 resource
+cap, 6 numerical trouble in a linear program (singular basis or pivot
+limit).
 """
 
 from __future__ import annotations
@@ -125,17 +126,6 @@ def _report(args, results: dict, digests: dict | None = None) -> dict:
     }
 
 
-def _load(path):
-    try:
-        return load_game(path)
-    except FileNotFoundError:
-        raise
-    except GameValidationError:
-        raise
-    except OSError as exc:
-        raise GameFormatError(str(exc)) from exc
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
@@ -154,7 +144,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    game = _load(args.game)
+    game = load_game(args.game)
     policy = load_policy(args.policy, game)
     cert = verify_cce(game, policy, tol=args.tol)
     results = cert.as_dict()
@@ -165,7 +155,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_find(args) -> int:
-    game = _load(args.game)
+    game = load_game(args.game)
     if game.constraint_mode != COMMON:
         sys.stderr.write("find needs a common-constraint game\n")
         return EXIT_VALIDATION
@@ -182,14 +172,14 @@ def cmd_find(args) -> int:
 
 
 def cmd_slater(args) -> int:
-    game = _load(args.game)
+    game = load_game(args.game)
     report = slater_sampling_harness(game, args.mode, args.samples, args.seed, cap=args.cap)
     _emit(_report(args, report.as_dict(), {"game": _digest(args.game)}), args)
     return EXIT_OK if report.clean else EXIT_NOT_CE
 
 
 def cmd_equivalence(args) -> int:
-    game = _load(args.game)
+    game = load_game(args.game)
     players = [args.player] if args.player is not None else list(range(game.num_players))
     rows = []
     for player in players:
@@ -572,10 +562,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except FileNotFoundError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_IO
-    except GameFormatError as exc:
+    except (OSError, GameFormatError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_IO
     except GameValidationError as exc:

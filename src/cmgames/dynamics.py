@@ -6,7 +6,10 @@ forward recursion
     d_1(s, a) = rho(s) * pi_1(a|s)
     d_t(s, a) = sum_{s', a'} d_{t-1}(s', a') * P_{t-1}(s|s', a') * pi_t(a|s)
 
-and cumulative reward/constraint values are linear functionals of it.
+and cumulative reward/constraint values are linear functionals of it,
+stated once: propagate runs it forward (any finite-horizon MDP, stacks of
+policies), flow_rows gives its occupancy-LP rows.  Only validate_occupancy's
+input check and apply_nonmarkov's growing history axis step it by hand.
 """
 
 from __future__ import annotations
@@ -25,16 +28,42 @@ VALUE_TOL = 1e-9
 ZERO_MARGINAL = 1e-12
 
 
+def propagate(rho: np.ndarray, kernels, policies):
+    """Yield the occupancy d_t(..., x, u) of a finite-horizon MDP, one timestep at a time.
+
+    policies[t] is (..., X_t, U) with optional leading batch axes and
+    kernels[t] is (X_t, U, X_{t+1}), so state sets may change size over time.
+    policies may be any iterable; it is consumed one timestep at a time.
+    """
+    marginal = rho
+    for t, pi_t in enumerate(policies):
+        if t:
+            marginal = np.einsum("...xa,xay->...y", d, kernels[t - 1])
+        d = marginal[..., None] * pi_t
+        yield d
+
+
+def flow_rows(kernel: np.ndarray, rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The recursion as equality rows (A_eq, b_eq): one row per (t, y).
+
+    kernel is (H-1, X, U, X); occupancies are flattened row-major over
+    (t, x, u).  Row (t, y) reads sum_u d_t(y, u) - sum_{x,u} d_{t-1}(x, u)
+    P_{t-1}(y|x, u) = [t = 0] rho(y).
+    """
+    h, (x, u) = kernel.shape[0] + 1, kernel.shape[1:3]
+    t = np.arange(h)
+    flow = np.zeros((h, x, h, x, u))        # [t, y, t', x, u]
+    flow[t, :, t] = np.eye(x)[:, :, None]
+    flow[t[1:], :, t[:-1]] = -kernel.transpose(0, 3, 1, 2)
+    inflow = np.zeros((h, x))
+    inflow[0] = rho
+    return flow.reshape(h * x, -1), inflow.reshape(-1)
+
+
 def compute_occupancy(game: ConstrainedMarkovGame, policy: np.ndarray) -> np.ndarray:
     """Forward-propagate the per-timestep occupancy d_t(s, a), shape (H, S, A)."""
     validate_policy(game, policy)
-    h, s, a = game.horizon, game.num_states, game.num_joint_actions
-    d = np.zeros((h, s, a))
-    d[0] = game.rho[:, None] * policy[0]
-    for t in range(1, h):
-        marginal = np.einsum("xa,xay->y", d[t - 1], game.kernel[t - 1])
-        d[t] = marginal[:, None] * policy[t]
-    return d
+    return np.array(list(propagate(game.rho, game.kernel, policy)))
 
 
 def validate_occupancy(game: ConstrainedMarkovGame, occupancy: np.ndarray,

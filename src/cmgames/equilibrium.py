@@ -18,7 +18,7 @@ enumerated family, whose weight vectors they report.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -28,11 +28,12 @@ from .dynamics import (
     VALUE_TOL,
     compute_occupancy,
     evaluate,
+    flow_rows,
     occupancy_to_policy,
     slacks_of,
     validate_occupancy,
 )
-from .game import COMMON, ConstrainedMarkovGame, validate_policy
+from .game import COMMON, ConstrainedMarkovGame
 from .modifications import DEFAULT_ENUM_CAP, enumerate_det_modifications
 
 BOUNDARY_TOL = 1e-9
@@ -73,14 +74,17 @@ def verify_cce(game: ConstrainedMarkovGame, policy: np.ndarray,
 
     Verdict is constrained_CE iff all slacks >= -tol and all gaps <= tol.
     Psi^i is the optimum of the pair-MDP occupancy program
-    (lp.best_markov_modification), which equals the best-feasible-modification
+    (lp.build_pair_occupancy_lp), which equals the best-feasible-modification
     program over the deterministic family: stochastic Markov modifications
     are its convex hull, and the modification classes give the same
-    equilibrium notion.  Raises NumericalLPError when a program hits
-    numerical trouble.
+    equilibrium notion.  The program's thresholds are min(c^{i,j},
+    V^{g^{i,j}}(pi)): equal to c^{i,j} for every policy that meets its
+    constraints, and lowered to the policy's own values for one that is
+    feasible only within tol, whose identity modification would otherwise
+    be infeasible.  Raises NumericalLPError when a program hits numerical
+    trouble.
     """
-    validate_policy(game, policy)
-    occupancy = compute_occupancy(game, policy)
+    occupancy = compute_occupancy(game, policy)   # validates the policy
     values = evaluate(game, occupancy)
     slacks = slacks_of(game, occupancy)
     if slacks.size and slacks.min() < -tol:
@@ -89,9 +93,13 @@ def verify_cce(game: ConstrainedMarkovGame, policy: np.ndarray,
                                       reward_values=values.reward)
     psi = np.empty(game.num_players)
     for i in range(game.num_players):
-        best = lpmod.best_markov_modification(game, i, policy)
-        lpmod.require_optimal(best.status, f"best-modification program for player {i}")
-        psi[i] = best.psi
+        program = lpmod.build_pair_occupancy_lp(game, i, policy)
+        # Floor the thresholds at the policy's own values, so the identity
+        # modification stays feasible for a policy that is feasible within tol.
+        program = replace(program, b_ub=np.minimum(program.b_ub, values.constraint[i]))
+        sol = lpmod.solve_lp(program)
+        lpmod.require_optimal(sol.status, f"best-modification program for player {i}")
+        psi[i] = sol.objective
     gaps = psi - values.reward
     verdict = CONSTRAINED_CE if gaps.max() <= tol else NOT_CE
     return EquilibriumCertificate(policy=policy, verdict=verdict, tol=tol, slacks=slacks,
@@ -139,23 +147,8 @@ class WeakSlaterResult:
     minima: tuple[float, ...]     # min over modifications of V^{g^j}, per j
     condition2b: bool | None
     min_weight: float | None
-    positive_alpha: np.ndarray | None
     satisfied: bool | None
     branch: str | None
-
-    def as_dict(self) -> dict:
-        return {
-            "player": self.player,
-            "applicable": self.applicable,
-            "min_slack": self.min_slack,
-            "condition1": self.condition1,
-            "condition2a": self.condition2a,
-            "minima": list(self.minima),
-            "condition2b": self.condition2b,
-            "min_weight": self.min_weight,
-            "satisfied": self.satisfied,
-            "branch": self.branch,
-        }
 
 
 def check_weak_slater_at(game: ConstrainedMarkovGame, player: int, policy: np.ndarray,
@@ -178,8 +171,8 @@ def check_weak_slater_at(game: ConstrainedMarkovGame, player: int, policy: np.nd
     if min_slack > BOUNDARY_TOL:
         return WeakSlaterResult(player=player, applicable=False, min_slack=min_slack,
                                 condition1=None, condition2a=None, minima=(),
-                                condition2b=None, min_weight=None, positive_alpha=None,
-                                satisfied=None, branch=None)
+                                condition2b=None, min_weight=None, satisfied=None,
+                                branch=None)
 
     mdp = build_mdp2(game, player, policy)
     minima = []
@@ -198,7 +191,6 @@ def check_weak_slater_at(game: ConstrainedMarkovGame, player: int, policy: np.nd
                             condition1=cond1, condition2a=cond2a,
                             minima=tuple(minima), condition2b=cond2b,
                             min_weight=regularity.min_weight,
-                            positive_alpha=regularity.positive_alpha,
                             satisfied=satisfied, branch=branch)
 
 
@@ -293,7 +285,7 @@ def slater_sampling_harness(game: ConstrainedMarkovGame, mode: str, num_samples:
             per_player = []
             for i in range(game.num_players):
                 res = check_strong_slater_at(game, i, policy, cap=cap)
-                per_player.append({"player": i, "holds": res.holds, "margin": res.margin})
+                per_player.append(res.as_dict())
                 if not res.holds:
                     failures.append(SlaterFailure(
                         sample=k, player=i, policy=policy,
@@ -371,46 +363,16 @@ def feasible_occupancy(game: ConstrainedMarkovGame) -> np.ndarray | None:
     is a single phase-1 feasibility program.  Numerical trouble raises
     NumericalLPError rather than passing for an empty polytope.
     """
-    h, s, a = game.horizon, game.num_states, game.num_joint_actions
-    n = h * s * a
-
-    def flat(t, state, action=None):
-        base = t * s * a + state * a
-        return base if action is None else base + action
-
-    rows_eq = []
-    rhs_eq = []
-    for state in range(s):
-        row = np.zeros(n)
-        row[flat(0, state):flat(0, state) + a] = 1.0
-        rows_eq.append(row)
-        rhs_eq.append(game.rho[state])
-    for t in range(1, h):
-        for state in range(s):
-            row = np.zeros(n)
-            row[flat(t, state):flat(t, state) + a] = 1.0
-            row[(t - 1) * s * a:t * s * a] -= game.kernel[t - 1][:, :, state].reshape(-1)
-            rows_eq.append(row)
-            rhs_eq.append(0.0)
-
-    rows_ub = []
-    rhs_ub = []
-    for i in range(game.num_players):
-        for j in range(game.num_constraints):
-            rows_ub.append(game.constraint_table(i, j).reshape(-1))
-            rhs_ub.append(game.threshold(i, j))
-        if game.constraint_mode == COMMON:
-            break   # identical rows for every player
-
+    a_eq, b_eq = flow_rows(game.kernel, game.rho)
+    n = a_eq.shape[1]
+    # Playerwise rows come player-major; common rows once, not once per player.
     sol = lpmod.solve_lp(lpmod.LinearProgram.build(
-        c=np.zeros(n),
-        a_ub=np.array(rows_ub) if rows_ub else None,
-        b_ub=np.array(rhs_ub) if rhs_ub else None,
-        a_eq=np.array(rows_eq), b_eq=np.array(rhs_eq)))
+        c=np.zeros(n), a_ub=game.constraints.reshape(-1, n),
+        b_ub=game.thresholds.reshape(-1), a_eq=a_eq, b_eq=b_eq))
     if sol.status == lpmod.INFEASIBLE:
         return None
     lpmod.require_optimal(sol.status, "feasible-occupancy program")
-    occupancy = sol.x.reshape(h, s, a)
+    occupancy = sol.x.reshape(game.horizon, game.num_states, game.num_joint_actions)
     validate_occupancy(game, occupancy)
     return occupancy
 

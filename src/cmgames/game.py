@@ -17,7 +17,7 @@ Constraints come in two modes:
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -105,13 +105,6 @@ class ConstrainedMarkovGame:
         if self.constraint_mode == COMMON:
             return self.constraints.shape[0] if self.constraints.ndim == 4 else 0
         return self.constraints.shape[1] if self.constraints.ndim == 5 else 0
-
-    def joint_index(self, actions: tuple[int, ...]) -> int:
-        """Row-major index of a per-player action tuple."""
-        return int(np.ravel_multi_index(actions, self.action_counts))
-
-    def joint_tuple(self, index: int) -> tuple[int, ...]:
-        return tuple(int(v) for v in np.unravel_index(index, self.action_counts))
 
     def constraint_table(self, player: int, j: int) -> np.ndarray:
         """Constraint table g^{player,j} as an (H, S, A) array.

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .aux_mdps import build_mdp2, lift_reward
-from .dynamics import normalize_or_uniform
+from .dynamics import flow_rows, normalize_or_uniform, propagate
 from .game import ConstrainedMarkovGame
 from .modifications import (
     DEFAULT_ENUM_CAP,
@@ -216,17 +216,16 @@ def batch_modified_occupancies(game: ConstrainedMarkovGame, player: int,
                                stacked_tables: np.ndarray) -> np.ndarray:
     """Occupancies of (phi(k) o pi) for a whole stack of modification tables.
 
-    stacked_tables is (K, H, S, A_i, A_i); returns (K, H, S, A).  One einsum
-    per timestep instead of K separate composition/propagation passes.
+    stacked_tables is (K, H, S, A_i, A_i); returns (K, H, S, A).  One
+    K-batched propagation, composed one timestep at a time and written into
+    the one (K, H, S, A) output, instead of K separate passes.
     """
-    k, h = stacked_tables.shape[0], game.horizon
-    occs = np.empty((k, h, game.num_states, game.num_joint_actions))
-    composed0 = compose_timestep(game, policy[0], stacked_tables[:, 0], player)
-    occs[:, 0] = game.rho[None, :, None] * composed0
-    for t in range(1, h):
-        marginal = np.einsum("ksa,say->ky", occs[:, t - 1], game.kernel[t - 1])
-        composed = compose_timestep(game, policy[t], stacked_tables[:, t], player)
-        occs[:, t] = marginal[:, :, None] * composed
+    occs = np.empty((stacked_tables.shape[0], game.horizon,
+                     game.num_states, game.num_joint_actions))
+    composed = (compose_timestep(game, policy[t], stacked_tables[:, t], player)
+                for t in range(game.horizon))
+    for t, d_t in enumerate(propagate(game.rho, game.kernel, composed)):
+        occs[:, t] = d_t
     return occs
 
 
@@ -309,13 +308,8 @@ def build_pair_occupancy_lp(game: ConstrainedMarkovGame, player: int,
     """
     mdp = build_mdp2(game, player, policy)
     h, n, ai = game.horizon, mdp.num_states[0], mdp.num_actions
-    flow = np.zeros((h, n, h, n, ai))        # [t, y, t', x, p]
-    for t in range(h):
-        flow[t, :, t] = np.eye(n)[:, :, None]
-        if t:
-            flow[t, :, t - 1] = -mdp.kernels[t - 1][:n, :, :n].transpose(2, 0, 1)
-    inflow = np.zeros((h, n))
-    inflow[0] = mdp.rho[:n]
+    kernel = np.array([k[:n, :, :n] for k in mdp.kernels]).reshape(h - 1, n, ai, n)
+    a_eq, b_eq = flow_rows(kernel, mdp.rho[:n])
 
     def lifted(signal):
         tables = lift_reward(game, player, policy, signal).tables
@@ -326,7 +320,7 @@ def build_pair_occupancy_lp(game: ConstrainedMarkovGame, player: int,
         c=lifted(game.rewards[player]),
         a_ub=np.array([lifted(game.constraint_table(player, k)) for k in range(j)]),
         b_ub=[game.threshold(player, k) for k in range(j)],
-        a_eq=flow.reshape(h * n, -1), b_eq=inflow.reshape(-1))
+        a_eq=a_eq, b_eq=b_eq)
 
 
 @dataclass(frozen=True)
@@ -365,8 +359,8 @@ def best_markov_modification(game: ConstrainedMarkovGame, player: int,
 @dataclass(frozen=True)
 class HullMembership:
     member: bool
-    alpha: np.ndarray | None
-    residual: float | None
+    alpha: np.ndarray
+    residual: float
 
 
 def hull_membership(point: np.ndarray, vertices: list[np.ndarray],
@@ -376,7 +370,8 @@ def hull_membership(point: np.ndarray, vertices: list[np.ndarray],
     Solves the feasibility question  sum_k alpha_k v_k = point, alpha in the
     simplex, by minimizing the worst per-coordinate residual e over (alpha, e);
     membership holds iff the optimum is at most ``tol``.  True members come
-    back with residuals at floating-point noise, not at the tolerance.
+    back with residuals at floating-point noise, not at the tolerance.  The
+    program is always feasible and bounded, so any other outcome raises.
     """
     target = np.asarray(point, dtype=np.float64).reshape(-1)
     mat = np.stack([np.asarray(v, dtype=np.float64).reshape(-1) for v in vertices], axis=1)
@@ -392,8 +387,7 @@ def hull_membership(point: np.ndarray, vertices: list[np.ndarray],
         b_ub=np.concatenate([target, -target]),
         a_eq=a_eq, b_eq=[1.0])
     sol = solve_lp(lp)
-    if sol.status != OPTIMAL:
-        return HullMembership(member=False, alpha=None, residual=None)
+    require_optimal(sol.status, "hull-membership program")   # always feasible and bounded
     alpha = sol.x[:k]
     residual = float(np.abs(mat @ alpha - target).max())
     return HullMembership(member=residual <= tol, alpha=alpha, residual=residual)
@@ -435,7 +429,10 @@ def max_min_slack(constraint: np.ndarray, thresholds: np.ndarray
 
 def min_weight_feasible(constraint: np.ndarray, thresholds: np.ndarray,
                         epsilon: float) -> np.ndarray | None:
-    """A feasible alpha with every weight >= epsilon, or None."""
+    """A feasible alpha with every weight >= epsilon, or None if none exists.
+
+    Raises NumericalLPError when the program hits numerical trouble.
+    """
     j, k = constraint.shape
     lp = LinearProgram.build(
         c=np.zeros(k),
@@ -443,7 +440,10 @@ def min_weight_feasible(constraint: np.ndarray, thresholds: np.ndarray,
         b_ub=np.concatenate([thresholds, np.full(k, epsilon)]),
         a_eq=np.ones((1, k)), b_eq=[1.0])
     sol = solve_lp(lp)
-    return sol.x if sol.status == OPTIMAL else None
+    if sol.status == INFEASIBLE:
+        return None
+    require_optimal(sol.status, "min-weight program")
+    return sol.x
 
 
 @dataclass(frozen=True)
@@ -460,21 +460,10 @@ class LPRegularityReport:
     player: int
     strictly_feasible: bool
     max_min_slack: float
-    strict_alpha: np.ndarray
     constant_rows: tuple[int, ...]
     positive_weight_feasible: bool
     min_weight: float | None
     positive_alpha: np.ndarray | None
-
-    def as_dict(self) -> dict:
-        return {
-            "player": self.player,
-            "strictly_feasible": self.strictly_feasible,
-            "max_min_slack": self.max_min_slack,
-            "constant_rows": list(self.constant_rows),
-            "positive_weight_feasible": self.positive_weight_feasible,
-            "min_weight": self.min_weight,
-        }
 
 
 EPSILON_SWEEP = tuple(10.0 ** -e for e in range(3, 10))   # 1e-3 .. 1e-9
@@ -483,7 +472,7 @@ EPSILON_SWEEP = tuple(10.0 ** -e for e in range(3, 10))   # 1e-3 .. 1e-9
 def check_lp_regularity(game: ConstrainedMarkovGame, player: int, policy: np.ndarray,
                         cap: int = DEFAULT_ENUM_CAP) -> LPRegularityReport:
     vals = modification_values(game, player, policy, cap=cap)
-    margin, strict_alpha = max_min_slack(vals.constraint, vals.thresholds)
+    margin, _ = max_min_slack(vals.constraint, vals.thresholds)
     spread = vals.constraint.max(axis=1) - vals.constraint.min(axis=1)
     constant_rows = tuple(int(j) for j in np.flatnonzero(spread <= 1e-12))
     min_weight, positive_alpha = None, None
@@ -496,7 +485,6 @@ def check_lp_regularity(game: ConstrainedMarkovGame, player: int, policy: np.nda
         player=player,
         strictly_feasible=margin > LP_TOL,
         max_min_slack=margin,
-        strict_alpha=strict_alpha,
         constant_rows=constant_rows,
         positive_weight_feasible=positive_alpha is not None,
         min_weight=min_weight,

@@ -82,6 +82,30 @@ def test_verify_numerical_exit_code(capsys, monkeypatch, paths):
     assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("command", ["validate", "verify", "find"])
+def test_directory_path_is_io_error(capsys, tmp_path, paths, command):
+    argv = {"validate": ["validate", str(tmp_path)],
+            "verify": ["verify", paths["example2.game"], str(tmp_path)],
+            "find": ["find", paths["example2.game"], "--initial", str(tmp_path)]}[command]
+    code = main(argv + ["--json"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_verify_policy_feasible_within_tol(capsys, tmp_path, paths):
+    game = cm.load_game(paths["example2.game"])
+    policy = cm.uniform_policy(game)
+    policy[0, 0, 0] -= 2e-7
+    policy[0, 0, 1] += 2e-7
+    path = tmp_path / "p.policy"
+    path.write_text(json.dumps({"policy": policy.tolist()}))
+    code, rep = run(capsys, "verify", paths["example2.game"], str(path), "--tol", "1e-6", "--json")
+    assert code == 0
+    assert rep["results"]["verdict"] == "constrained_CE"
+
+
 def test_verify_takes_no_cap(capsys, paths):
     with pytest.raises(SystemExit):
         main(["verify", paths["example2.game"], paths["uniform.policy"], "--cap", "10"])

@@ -62,6 +62,21 @@ def test_numerical_lp_status_raises(example2, monkeypatch):
         cm.feasible_occupancy(example2)
 
 
+def test_verify_policy_feasible_within_tol(example2):
+    """Slacks of +-2e-7 pass a 1e-6 check; the pair program's thresholds are
+    floored at the policy's own values, so the identity modification stays
+    feasible and the certificate is issued instead of a crash."""
+    policy = cm.uniform_policy(example2)
+    policy[0, 0, 0] -= 2e-7
+    policy[0, 0, 1] += 2e-7
+    assert cm.feasibility(example2, policy).slacks.min() == pytest.approx(-2e-7, rel=1e-6)
+    cert = cm.verify_cce(example2, policy, tol=1e-6)
+    assert cert.verdict == "constrained_CE"
+    assert np.abs(cert.gaps).max() <= 1e-12
+    # A strictly feasible policy keeps the exact thresholds: its Psi is unchanged.
+    assert cm.verify_cce(example2, cm.uniform_policy(example2)).psi.tolist() == [0.25, 0.25]
+
+
 def test_verify_dominates_sampled_feasible_modifications(toy):
     """The LP gap is an upper bound on every feasible stochastic deviation's gain."""
     rng = np.random.default_rng(0)

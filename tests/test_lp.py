@@ -254,6 +254,18 @@ def test_min_weight_feasible_sweep():
     assert min_weight_feasible(constraint, np.array([0.9]), 0.2) is None
 
 
+def test_hull_and_min_weight_report_numerical_trouble(monkeypatch):
+    def singular(*args, **kwargs):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(np.linalg, "solve", singular)
+    vertices = [np.array([1.0, 0.0]), np.array([0.0, 1.0])]
+    with pytest.raises(cm.NumericalLPError):
+        cm.hull_membership(np.array([0.5, 0.5]), vertices)
+    with pytest.raises(cm.NumericalLPError):
+        min_weight_feasible(np.array([[1.0, 0.0]]), np.array([0.9]), 0.05)
+
+
 def test_regularity_example2():
     game = cm.load_game(cm.bundled_path("example2.game"))
     rep = cm.check_lp_regularity(game, 0, cm.uniform_policy(game))
