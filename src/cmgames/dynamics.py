@@ -99,11 +99,11 @@ def evaluate(game: ConstrainedMarkovGame, occupancy: np.ndarray) -> ValueVector:
     flat = np.asarray(occupancy).reshape(-1)
     reward = game.rewards.reshape(game.num_players, -1) @ flat
     if game.constraint_mode == COMMON:
-        shared = game.constraints.reshape(game.num_constraints, -1) @ flat
+        shared = game.constraints.reshape(game.num_constraints, flat.size) @ flat
         constraint = np.tile(shared, (game.num_players, 1))
     else:
         constraint = game.constraints.reshape(
-            game.num_players, game.num_constraints, -1) @ flat
+            game.num_players, game.num_constraints, flat.size) @ flat
     return ValueVector(reward=reward, constraint=constraint)
 
 

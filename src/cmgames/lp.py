@@ -431,19 +431,23 @@ def min_weight_feasible(constraint: np.ndarray, thresholds: np.ndarray,
                         epsilon: float) -> np.ndarray | None:
     """A feasible alpha with every weight >= epsilon, or None if none exists.
 
-    Raises NumericalLPError when the program hits numerical trouble.
+    The lower bounds are shifted away: alpha = epsilon + beta with beta >= 0
+    turns C alpha >= c, sum alpha = 1 into C beta >= c - epsilon C 1,
+    sum beta = 1 - K epsilon, so the program has J + 1 rows instead of
+    J + K + 1.  When K epsilon > 1 the sum row's right-hand side is negative
+    and phase 1 reports the program infeasible.  Raises NumericalLPError
+    when the program hits numerical trouble.
     """
-    j, k = constraint.shape
+    k = constraint.shape[1]
     lp = LinearProgram.build(
         c=np.zeros(k),
-        a_ub=np.vstack([constraint, np.eye(k)]),
-        b_ub=np.concatenate([thresholds, np.full(k, epsilon)]),
-        a_eq=np.ones((1, k)), b_eq=[1.0])
+        a_ub=constraint, b_ub=thresholds - epsilon * constraint.sum(axis=1),
+        a_eq=np.ones((1, k)), b_eq=[1.0 - k * epsilon])
     sol = solve_lp(lp)
     if sol.status == INFEASIBLE:
         return None
     require_optimal(sol.status, "min-weight program")
-    return sol.x
+    return sol.x + epsilon
 
 
 @dataclass(frozen=True)
@@ -472,7 +476,10 @@ EPSILON_SWEEP = tuple(10.0 ** -e for e in range(3, 10))   # 1e-3 .. 1e-9
 def check_lp_regularity(game: ConstrainedMarkovGame, player: int, policy: np.ndarray,
                         cap: int = DEFAULT_ENUM_CAP) -> LPRegularityReport:
     vals = modification_values(game, player, policy, cap=cap)
-    margin, _ = max_min_slack(vals.constraint, vals.thresholds)
+    if vals.constraint.shape[0] == 0:
+        margin = np.inf   # no constraint: every weight vector is strictly feasible
+    else:
+        margin, _ = max_min_slack(vals.constraint, vals.thresholds)
     spread = vals.constraint.max(axis=1) - vals.constraint.min(axis=1)
     constant_rows = tuple(int(j) for j in np.flatnonzero(spread <= 1e-12))
     min_weight, positive_alpha = None, None

@@ -145,6 +145,27 @@ def bfs_lp_oracle(lp) -> tuple[str, float | None]:
     return "optimal", best
 
 
+def min_weight_rows_oracle(constraint, thresholds, epsilon):
+    """The min-weight program with one row alpha_k >= epsilon per weight.
+
+    J + K + 1 rows: the form lp.min_weight_feasible had before it shifted
+    the lower bounds into the right-hand side.  Returns alpha, or None when
+    the program is infeasible.
+    """
+    from cmgames.lp import INFEASIBLE, LinearProgram, require_optimal, solve_lp
+
+    k = constraint.shape[1]
+    sol = solve_lp(LinearProgram.build(
+        c=np.zeros(k),
+        a_ub=np.vstack([constraint, np.eye(k)]),
+        b_ub=np.concatenate([thresholds, np.full(k, epsilon)]),
+        a_eq=np.ones((1, k)), b_eq=[1.0]))
+    if sol.status == INFEASIBLE:
+        return None
+    require_optimal(sol.status, "reference min-weight program")
+    return sol.x
+
+
 # ---------------------------------------------------------------------------
 # Random instances
 # ---------------------------------------------------------------------------
@@ -167,11 +188,11 @@ def random_game(rng, num_states=2, horizon=2, action_counts=(2, 2), j=2,
             marg = np.einsum("sa,say->y", uniform_occ[t], kernel[t])
     if mode == COMMON:
         cons = rng.uniform(0.0, 1.0, size=(j, horizon, num_states, a))
-        thresholds = threshold_scale * (cons.reshape(j, -1) @ uniform_occ.reshape(-1))
+        thresholds = threshold_scale * (cons.reshape(j, uniform_occ.size) @ uniform_occ.reshape(-1))
     else:
         cons = rng.uniform(0.0, 1.0, size=(n, j, horizon, num_states, a))
         thresholds = threshold_scale * (
-            cons.reshape(n * j, -1) @ uniform_occ.reshape(-1)).reshape(n, j)
+            cons.reshape(n * j, uniform_occ.size) @ uniform_occ.reshape(-1)).reshape(n, j)
     names = tuple(f"s{k}" for k in range(num_states))
     actions = tuple(tuple(str(x + 1) for x in range(cnt)) for cnt in action_counts)
     return ConstrainedMarkovGame(

@@ -178,3 +178,36 @@ def test_slater_byte_identical(capsys, paths):
 def test_enumeration_cap_exit_code(capsys, paths):
     assert main(["equivalence", paths["toy_h2.game"], "--samples", "1",
                  "--seed", "0", "--cap", "10", "--json"]) == 5
+
+
+def test_slater_weak_toy_h2_finishes(capsys, paths):
+    # K^i = 256: each epsilon-sweep program has J + 1 rows, not J + K + 1.
+    code, rep = run(capsys, "slater", paths["toy_h2.game"],
+                    "--mode", "weak", "--samples", "20", "--json")
+    assert code == 3
+    assert rep["results"]["tested"] + rep["results"]["not_applicable"] == 20
+
+
+@pytest.fixture
+def unconstrained(tmp_path, paths):
+    doc = json.loads(open(paths["example2.game"]).read())
+    doc["constraints"], doc["thresholds"] = [], []
+    path = tmp_path / "free.game"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def test_unconstrained_game_commands(capsys, paths, unconstrained):
+    code, rep = run(capsys, "verify", unconstrained, paths["uniform.policy"], "--json")
+    assert code == 3
+    assert rep["results"]["verdict"] == "not_CE"
+    assert rep["results"]["slacks"] == [[], []]
+    assert rep["results"]["psi"] == pytest.approx([0.5, 0.5], abs=1e-12)
+
+    code, rep = run(capsys, "find", unconstrained, "--max-iters", "20", "--json")
+    verdict = rep["results"]["certificate"]["verdict"]
+    assert code == (0 if verdict == "constrained_CE" else 3)
+
+    code, rep = run(capsys, "slater", unconstrained, "--mode", "weak", "--samples", "5", "--json")
+    assert code == 0
+    assert rep["results"]["tested"] == 0 and rep["results"]["not_applicable"] == 5

@@ -119,6 +119,23 @@ def test_verify_dominates_history_dependent_modifications(toy):
 # Slater conditions
 # ---------------------------------------------------------------------------
 
+@pytest.mark.parametrize("seed,counts,mode", [
+    (0, (2, 2), "common"), (1, (2, 2), "playerwise"),
+    (2, (3, 2), "common"), (3, (2, 2, 2), "playerwise")])
+def test_verify_unconstrained_psi_is_best_deviation(seed, counts, mode):
+    # With J = 0, Psi^i is the unconstrained best deviation, which backward
+    # induction on the pair MDP finds without a linear program.
+    rng = np.random.default_rng(seed)
+    game = random_game(rng, num_states=2, horizon=2, action_counts=counts, j=0, mode=mode)
+    pol = random_policy(rng, game)
+    cert = cm.verify_cce(game, pol)
+    assert cert.slacks.shape == (len(counts), 0)
+    for i in range(len(counts)):
+        lifted = cm.lift_reward(game, i, pol, game.rewards[i])
+        best, _ = cm.optimize_aux(cm.build_mdp2(game, i, pol), lifted, "max")
+        assert abs(cert.psi[i] - best) <= 1e-9
+
+
 def test_strong_slater_example1(example1):
     pol = np.zeros((1, 1, 4))
     pol[0, 0, 3] = 1.0

@@ -5,13 +5,14 @@ import pytest
 
 import cmgames as cm
 from cmgames.lp import (
+    LP_TOL,
     LinearProgram,
     max_min_slack,
     min_weight_feasible,
     modification_values,
     solve_lp,
 )
-from oracles import bfs_lp_oracle, random_game, random_policy
+from oracles import bfs_lp_oracle, min_weight_rows_oracle, random_game, random_policy
 
 
 def test_simplex_sanity():
@@ -254,6 +255,56 @@ def test_min_weight_feasible_sweep():
     assert min_weight_feasible(constraint, np.array([0.9]), 0.2) is None
 
 
+def _min_weight_cases():
+    """Seeded (C, c, epsilon) triples, with J = 0, constant rows, K eps = 1 and K eps > 1."""
+    rng = np.random.default_rng(77)
+    for trial in range(120):
+        k = int(rng.integers(1, 9))
+        j = trial % 4
+        constraint = rng.uniform(0.0, 1.0, size=(j, k))
+        if j and trial % 3 == 0:
+            constraint[-1] = rng.uniform(0.0, 1.0)   # constant across k
+        # Thresholds around the value of a random mixture: about half feasible.
+        thresholds = constraint @ rng.dirichlet(np.ones(k)) + rng.uniform(-0.2, 0.2, size=j)
+        epsilon = [1e-3, 0.02, 1.0 / k, 2.0 / k, 0.5 / k][trial % 5]
+        yield constraint, thresholds, epsilon
+
+
+def test_min_weight_feasible_matches_row_per_weight_program():
+    outcomes = set()
+    for constraint, thresholds, epsilon in _min_weight_cases():
+        alpha = min_weight_feasible(constraint, thresholds, epsilon)
+        reference = min_weight_rows_oracle(constraint, thresholds, epsilon)
+        assert (alpha is None) == (reference is None)
+        k = constraint.shape[1]
+        outcomes.add((alpha is None, k * epsilon > 1.0))
+        if alpha is None:
+            continue
+        assert alpha.shape == (k,)
+        assert alpha.min() >= epsilon
+        assert abs(alpha.sum() - 1.0) <= 1e-12
+        floor = thresholds - LP_TOL * np.maximum(1.0, np.abs(thresholds))
+        assert (constraint @ alpha >= floor).all()
+    # Both answers occur, and every K eps > 1 case is infeasible.
+    assert outcomes == {(False, False), (True, False), (True, True)}
+
+
+def test_min_weight_program_has_j_plus_one_rows(monkeypatch):
+    game = cm.load_game(cm.bundled_path("toy_h2.game"))
+    min_weight_rows = []
+
+    def recording(lp):
+        if not lp.c.any():   # the sweep's feasibility programs; max-min has an objective
+            min_weight_rows.append(lp.a_ub.shape[0] + lp.a_eq.shape[0])
+        return solve_lp(lp)
+
+    monkeypatch.setattr(cm.lp, "solve_lp", recording)
+    rep = cm.check_lp_regularity(game, 0, cm.uniform_policy(game))
+    assert rep.positive_weight_feasible
+    assert min_weight_rows
+    assert all(rows == game.num_constraints + 1 for rows in min_weight_rows)
+
+
 def test_hull_and_min_weight_report_numerical_trouble(monkeypatch):
     def singular(*args, **kwargs):
         raise np.linalg.LinAlgError("Singular matrix")
@@ -282,6 +333,15 @@ def test_regularity_unconstrained_strict():
     pol = random_policy(rng, game)
     rep = cm.check_lp_regularity(game, 0, pol)
     assert rep.strictly_feasible
+
+
+def test_regularity_no_constraints():
+    rng = np.random.default_rng(4)
+    game = random_game(rng, num_states=2, horizon=1, j=0)
+    rep = cm.check_lp_regularity(game, 0, random_policy(rng, game))
+    assert rep.strictly_feasible and rep.max_min_slack == np.inf
+    assert rep.constant_rows == ()
+    assert rep.positive_weight_feasible and rep.min_weight == 1e-3
 
 
 def test_regularity_constant_row_flagged():
