@@ -424,6 +424,9 @@ def find_cce(game: ConstrainedMarkovGame, initial: np.ndarray | None = None,
     with step (Psi^i - V^{r^i}) / (2H); the step always lies in [0, 1/2] and
     every iterate stays feasible.  Convergence is not guaranteed, only
     existence is, so the returned certificate is authoritative, not the flag.
+    Without binding constraints the step shrinks with the gap, so the gap
+    falls only like 2/t: example2 with J = 0 still has a gap of 2.0e-4 after
+    the default 10 000 iterations.
     """
     if game.constraint_mode != COMMON:
         raise ValueError("find_cce needs common constraints")

@@ -2,7 +2,11 @@
 
 The solver handles   max c.x  s.t.  A_ub x >= b_ub,  A_eq x = b_eq,  x >= 0
 with Bland's rule throughout, so it terminates on degenerate problems and
-always returns the same vertex for the same input.  Everything downstream
+always returns the same vertex for the same input.  A program may name a
+starting basis: one structural column per equality row, completed by the
+surplus column of every >= row.  When that basis is nonsingular and primal
+feasible, phase 1 is skipped and phase 2 starts from it; otherwise the
+solver runs both phases exactly as without a start.  Everything downstream
 (the pair-MDP occupancy program behind Psi^i, best-feasible-modification
 programs, hull membership, max-min slack programs, regularity probes)
 reduces to this form.
@@ -10,6 +14,7 @@ reduces to this form.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,16 +54,23 @@ def require_optimal(status: str, what: str) -> None:
 
 @dataclass(frozen=True)
 class LinearProgram:
-    """max c.x with A_ub x >= b_ub, A_eq x = b_eq and x >= 0 componentwise."""
+    """max c.x with A_ub x >= b_ub, A_eq x = b_eq and x >= 0 componentwise.
+
+    ``start`` optionally names one structural column per equality row; with
+    the surplus column of every >= row it forms the basis phase 2 starts
+    from, provided that basis is nonsingular and primal feasible.
+    """
 
     c: np.ndarray
     a_ub: np.ndarray
     b_ub: np.ndarray
     a_eq: np.ndarray
     b_eq: np.ndarray
+    start: tuple[int, ...] | None = None
 
     @staticmethod
-    def build(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None) -> "LinearProgram":
+    def build(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None,
+              start=None) -> "LinearProgram":
         c = np.atleast_1d(np.asarray(c, dtype=np.float64))
         n = c.shape[0]
         a_ub = np.zeros((0, n)) if a_ub is None else np.asarray(a_ub, dtype=np.float64).reshape(-1, n)
@@ -69,7 +81,15 @@ class LinearProgram:
             raise ValueError("constraint matrix and right-hand side sizes differ")
         if not all(np.isfinite(arr).all() for arr in (c, a_ub, b_ub, a_eq, b_eq)):
             raise ValueError("linear program has non-finite coefficients")
-        return LinearProgram(c=c, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq)
+        if start is not None:
+            start = tuple(operator.index(j) for j in start)
+            if len(start) != a_eq.shape[0]:
+                raise ValueError("start needs one column per equality row")
+            if any(not 0 <= j < n for j in start):
+                raise ValueError("start names a column outside the program")
+            if len(set(start)) != len(start):
+                raise ValueError("start repeats a column")
+        return LinearProgram(c=c, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq, start=start)
 
 
 @dataclass(frozen=True)
@@ -116,14 +136,70 @@ def _bland_pivots(a: np.ndarray, b: np.ndarray, cost: np.ndarray,
 def solve_lp(lp: LinearProgram) -> LPSolution:
     """Two-phase dense simplex with Bland's rule; statuses, never exceptions.
 
-    A singular basis, the pivot limit, or a phase 1 that does not end
-    optimal (its objective is bounded below by 0) is reported as NUMERICAL:
-    roundoff decided the outcome, not the program.
+    A program with a ``start`` whose basis is nonsingular and feasible
+    within LP_TOL * max(1, max|b|) goes straight to phase 2 from that
+    basis; any other start is ignored and both phases run.  A singular
+    basis, the pivot limit, or a phase 1 that does not end optimal (its
+    objective is bounded below by 0) is reported as NUMERICAL: roundoff
+    decided the outcome, not the program.
     """
     try:
         return _two_phase(lp)
     except np.linalg.LinAlgError:
         return LPSolution(status=NUMERICAL, x=None, objective=None)
+
+
+def _start_basis(a: np.ndarray, b: np.ndarray, n: int, m_ub: int,
+                 start: tuple[int, ...] | None, feas_tol: float) -> np.ndarray | None:
+    """The start's columns plus every surplus column, if that basis is feasible.
+
+    None when there is no start, its basis is singular, or some basic
+    variable is below -feas_tol; the caller then runs phase 1.
+    """
+    if start is None:
+        return None
+    basis = np.concatenate([np.asarray(start, dtype=np.intp), n + np.arange(m_ub)])
+    try:
+        x_b = np.linalg.solve(a[:, basis], b)
+    except np.linalg.LinAlgError:
+        return None
+    return basis if x_b.min() >= -feas_tol else None
+
+
+def _phase_one(a: np.ndarray, b: np.ndarray, feas_tol: float
+               ) -> tuple[str, np.ndarray, np.ndarray, np.ndarray | None]:
+    """Phase 1 from the all-artificial basis: (status, a, b, basis).
+
+    On OPTIMAL, basis is a feasible basis of a's columns, and the rows that
+    phase 1 proved redundant are dropped from a and b.  A phase 1 that does
+    not end optimal is NUMERICAL; leftover artificial mass is INFEASIBLE.
+    """
+    m, n_slack = a.shape
+    a1 = np.hstack([a, np.eye(m)])
+    cost1 = np.concatenate([np.zeros(n_slack), np.ones(m)])
+    basis = np.arange(n_slack, n_slack + m)
+    if _bland_pivots(a1, b, cost1, basis, allowed=n_slack + m) != OPTIMAL:
+        return NUMERICAL, a, b, None
+    x_b = np.linalg.solve(a1[:, basis], b)
+    if float(cost1[basis] @ x_b) > feas_tol:
+        return INFEASIBLE, a, b, None
+
+    # Drive leftover artificials out of the basis; drop redundant rows.
+    artificial = np.flatnonzero(basis >= n_slack)
+    if artificial.size:
+        weights = np.linalg.solve(a1[:, basis], a)   # B^-1 A over real columns
+        keep = np.ones(m, dtype=bool)
+        for i in artificial:
+            options = np.flatnonzero(np.abs(weights[i]) > 1e-7)
+            options = [j for j in options if j not in basis]
+            if options:
+                basis[i] = options[0]
+                weights = np.linalg.solve(a1[:, basis], a)
+            else:
+                keep[i] = False
+        if not keep.all():
+            a, b, basis = a[keep], b[keep], basis[keep]
+    return OPTIMAL, a, b, basis
 
 
 def _two_phase(lp: LinearProgram) -> LPSolution:
@@ -150,35 +226,12 @@ def _two_phase(lp: LinearProgram) -> LPSolution:
             return LPSolution(status=UNBOUNDED, x=None, objective=None)
         return LPSolution(status=OPTIMAL, x=np.zeros(n), objective=0.0)
 
-    # Phase 1: artificial basis, minimize the artificial mass.
-    a1 = np.hstack([a, np.eye(m)])
-    cost1 = np.concatenate([np.zeros(n_slack), np.ones(m)])
-    basis = np.arange(n_slack, n_slack + m)
-    status = _bland_pivots(a1, b, cost1, basis, allowed=n_slack + m)
-    if status != OPTIMAL:
-        return LPSolution(status=NUMERICAL, x=None, objective=None)
-    x_b = np.linalg.solve(a1[:, basis], b)
     feas_tol = LP_TOL * max(1.0, float(np.abs(b).max(initial=0.0)))
-    if float(cost1[basis] @ x_b) > feas_tol:
-        return LPSolution(status=INFEASIBLE, x=None, objective=None)
-
-    # Drive leftover artificials out of the basis; drop redundant rows.
-    artificial = np.flatnonzero(basis >= n_slack)
-    if artificial.size:
-        weights = np.linalg.solve(a1[:, basis], a)   # B^-1 A over real columns
-        keep = np.ones(m, dtype=bool)
-        for i in artificial:
-            options = np.flatnonzero(np.abs(weights[i]) > 1e-7)
-            options = [j for j in options if j not in basis]
-            if options:
-                basis[i] = options[0]
-                weights = np.linalg.solve(a1[:, basis], a)
-            else:
-                keep[i] = False
-        if not keep.all():
-            a, b = a[keep], b[keep]
-            basis = basis[keep]
-            m = a.shape[0]
+    basis = _start_basis(a, b, n, m_ub, lp.start, feas_tol)
+    if basis is None:
+        status, a, b, basis = _phase_one(a, b, feas_tol)
+        if status != OPTIMAL:
+            return LPSolution(status=status, x=None, objective=None)
 
     # Phase 2: minimize -c (i.e. maximize c) over the real variables.
     cost2 = np.zeros(n_slack)
@@ -258,11 +311,19 @@ def modification_values(game: ConstrainedMarkovGame, player: int, policy: np.nda
 
 
 def build_best_modification_lp(vals: ModificationValues) -> LinearProgram:
-    """The program: max sum_k alpha_k V^{r^i}(phi(k) o pi) over i-feasible alpha."""
+    """The program: max sum_k alpha_k V^{r^i}(phi(k) o pi) over i-feasible alpha.
+
+    It starts at the identity modification, alpha = e_identity: its value
+    under every constraint row is the policy's own, so at an i-feasible
+    policy that vertex is feasible and the solver skips phase 1.  Phase 1
+    still runs when the policy is not i-feasible (possible in playerwise
+    mode, or beyond LP_TOL after roundoff) or the start basis is singular.
+    """
     return LinearProgram.build(
         c=vals.reward,
         a_ub=vals.constraint, b_ub=vals.thresholds,
-        a_eq=np.ones((1, len(vals.mods))), b_eq=[1.0])
+        a_eq=np.ones((1, len(vals.mods))), b_eq=[1.0],
+        start=(vals.identity_index,))
 
 
 @dataclass(frozen=True)

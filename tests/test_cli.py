@@ -1,6 +1,7 @@
 """CLI subcommands: exit codes, JSON reports, determinism."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -211,3 +212,11 @@ def test_unconstrained_game_commands(capsys, paths, unconstrained):
     code, rep = run(capsys, "slater", unconstrained, "--mode", "weak", "--samples", "5", "--json")
     assert code == 0
     assert rep["results"]["tested"] == 0 and rep["results"]["not_applicable"] == 5
+
+
+def test_find_loose_h2_game_exits_with_verdict(capsys):
+    # This game once made find exit 6 (a singular basis mid-search).
+    game = Path(__file__).parent / "data" / "find_singular_basis.game"
+    code, rep = run(capsys, "find", str(game), "--max-iters", "20", "--tol", "1e-6", "--json")
+    assert code == 3
+    assert rep["results"]["certificate"]["verdict"] == "not_CE"

@@ -1,5 +1,7 @@
 """Equilibrium certificates, Slater diagnostics and the fixed-point search."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -344,3 +346,15 @@ def test_find_converged_implies_verified():
         if result.trace.converged:
             cert = cm.verify_cce(game, result.policy, tol=1e-6)
             assert cert.verdict == "constrained_CE"
+
+
+def test_find_on_loose_h2_game_runs_its_budget():
+    # A loose H = 2 game on which the search, when every best-modification
+    # program still ran phase 1, hit a singular phase-2 basis mid-search.
+    # Starting those programs at the identity takes another phase-2 path.
+    game = cm.load_game(Path(__file__).parent / "data" / "find_singular_basis.game")
+    result = cm.find_cce(game, max_iters=20, tol=1e-6)
+    assert not result.trace.converged and len(result.trace.steps) == 20
+    recheck = cm.verify_cce(game, result.policy, tol=1e-6)
+    assert result.certificate.verdict == recheck.verdict == "not_CE"
+    assert np.abs(result.certificate.gaps - recheck.gaps).max() <= 1e-12

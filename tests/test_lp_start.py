@@ -1,0 +1,198 @@
+"""Starting the simplex at a named basis: validation, fallback and differential checks.
+
+A program's ``start`` skips phase 1 only when its basis is nonsingular and
+feasible; every other start must give exactly the two-phase result.  The
+best-modification programs start at the identity modification, so at an
+i-feasible policy they take phase 2 alone.
+"""
+
+import dataclasses
+
+import numpy as np
+import pytest
+
+import cmgames as cm
+import cmgames.lp as lpmod
+from cmgames.game import COMMON, PLAYERWISE
+from cmgames.lp import LP_TOL, LinearProgram, solve_lp
+from oracles import bfs_lp_oracle, random_game, random_policy
+
+
+def _assert_feasible(lp, x):
+    scale = LP_TOL * max(1.0, float(np.abs(np.concatenate([lp.b_ub, lp.b_eq])).max(initial=0.0)))
+    assert x.min() >= -scale
+    if lp.b_ub.size:
+        assert (lp.a_ub @ x - lp.b_ub).min() >= -scale
+    if lp.b_eq.size:
+        assert np.abs(lp.a_eq @ x - lp.b_eq).max() <= scale
+
+
+def _start_is_feasible(lp):
+    """Does an alpha-program's start, the vertex e_identity, meet every >= row?"""
+    (k,) = lp.start
+    scale = LP_TOL * max(1.0, float(np.abs(np.concatenate([lp.b_ub, lp.b_eq])).max()))
+    return (lp.a_ub[:, k] - lp.b_ub).min(initial=np.inf) >= -scale
+
+
+def _policies(rng, game):
+    """A Dirichlet policy and, when the constraint set is nonempty, Gamma of a feasible occupancy."""
+    yield random_policy(rng, game)
+    occ = cm.feasible_occupancy(game)
+    if occ is not None:
+        yield cm.occupancy_to_policy(game, occ)
+
+
+def _alpha_programs():
+    """Best-modification programs over both modes, J = 0..3 and three policy kinds.
+
+    Thresholds at 0.5 of the uniform policy's values keep most policies
+    feasible; at 1.3 most Dirichlet policies are not, so in playerwise mode
+    their identity modification is an infeasible start.
+    """
+    programs = []
+    shapes = [(2, 1, (2, 2)), (1, 2, (2, 2)), (1, 1, (3, 2))]
+    for seed in range(4):
+        rng = np.random.default_rng(7100 + seed)
+        for mode in (COMMON, PLAYERWISE):
+            for j in range(4):
+                for scale in (0.5, 1.3):
+                    states, horizon, counts = shapes[(seed + j) % len(shapes)]
+                    game = random_game(rng, num_states=states, horizon=horizon,
+                                       action_counts=counts, j=j, mode=mode,
+                                       threshold_scale=scale)
+                    for policy in _policies(rng, game):
+                        for i in range(game.num_players):
+                            vals = lpmod.modification_values(game, i, policy)
+                            programs.append(lpmod.build_best_modification_lp(vals))
+    return programs
+
+
+@pytest.fixture(scope="module")
+def alpha_programs():
+    return _alpha_programs()
+
+
+def test_start_matches_two_phase_on_alpha_programs(alpha_programs):
+    feasible_starts = infeasible_starts = 0
+    for lp in alpha_programs:
+        sol = solve_lp(lp)
+        ref = solve_lp(dataclasses.replace(lp, start=None))
+        assert sol.status == ref.status
+        if _start_is_feasible(lp):
+            feasible_starts += 1
+            assert sol.status == "optimal"
+            assert abs(sol.objective - ref.objective) <= 1e-12 * max(1.0, abs(ref.objective))
+            _assert_feasible(lp, sol.x)
+            _assert_feasible(lp, ref.x)
+        else:
+            infeasible_starts += 1
+            # The start is ignored: the same two phases, so the same bits.
+            assert sol.objective == ref.objective
+            assert (sol.x is None and ref.x is None) or np.array_equal(sol.x, ref.x)
+    assert feasible_starts >= 50 and infeasible_starts >= 10
+
+
+def test_feasible_start_skips_phase_one(alpha_programs, monkeypatch):
+    calls = []
+    real = lpmod._bland_pivots
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(lpmod, "_bland_pivots", counting)
+    checked = 0
+    for lp in alpha_programs:
+        if not _start_is_feasible(lp):
+            continue
+        calls.clear()
+        solve_lp(lp)
+        assert len(calls) == 1           # phase 2 only
+        calls.clear()
+        solve_lp(dataclasses.replace(lp, start=None))
+        assert len(calls) == 2           # phase 1, then phase 2
+        checked += 1
+    assert checked >= 50
+
+
+def test_alpha_programs_match_highs():
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    programs = []
+    for seed, (states, horizon, counts, j) in enumerate(
+            [(2, 2, (2, 2), 1), (2, 2, (2, 2), 3), (1, 2, (2, 2), 2), (1, 1, (3, 2), 2)]):
+        rng = np.random.default_rng(7200 + seed)
+        game = random_game(rng, num_states=states, horizon=horizon, action_counts=counts, j=j)
+        vals = lpmod.modification_values(game, 0, cm.occupancy_to_policy(
+            game, cm.feasible_occupancy(game)))
+        programs.append(lpmod.build_best_modification_lp(vals))
+    assert max(lp.c.shape[0] for lp in programs) == 256
+    for lp in programs:
+        sol = solve_lp(lp)
+        ref = linprog(-lp.c, A_ub=-lp.a_ub, b_ub=-lp.b_ub, A_eq=lp.a_eq, b_eq=lp.b_eq,
+                      bounds=(0, None), method="highs")
+        assert sol.status == "optimal" and ref.status == 0
+        assert sol.objective == pytest.approx(-ref.fun, abs=1e-9)
+
+
+def _random_started_lp(rng):
+    """A bounded random program with 1-2 equality rows and a random distinct start."""
+    n = int(rng.integers(3, 7))
+    m_ub = int(rng.integers(0, 4))
+    m_eq = int(rng.integers(1, 3))
+    a_ub = np.vstack([rng.uniform(-1, 1, size=(m_ub, n)), -np.ones((1, n))])
+    b_ub = np.concatenate([rng.uniform(-1, 0.2, size=m_ub), [-float(rng.uniform(1.0, 3.0))]])
+    return LinearProgram.build(
+        c=rng.uniform(-1, 1, size=n), a_ub=a_ub, b_ub=b_ub,
+        a_eq=rng.uniform(0.2, 1, size=(m_eq, n)), b_eq=rng.uniform(0.5, 1.5, size=m_eq),
+        start=tuple(rng.choice(n, size=m_eq, replace=False)))
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_random_start_matches_bfs_enumeration(seed):
+    lp = _random_started_lp(np.random.default_rng(7300 + seed))
+    sol = solve_lp(lp)
+    status, best = bfs_lp_oracle(lp)
+    assert sol.status == status == solve_lp(dataclasses.replace(lp, start=None)).status
+    if status == "optimal":
+        assert sol.objective == pytest.approx(best, abs=1e-9)
+        _assert_feasible(lp, sol.x)
+
+
+@pytest.mark.parametrize("start, message", [
+    ((), "one column per equality row"),
+    ((0, 1), "one column per equality row"),
+    ((2,), "outside the program"),
+    ((-1,), "outside the program"),
+    ((0.0,), "integer"),
+])
+def test_start_is_validated(start, message):
+    with pytest.raises((ValueError, TypeError), match=message):
+        LinearProgram.build(c=[1.0, 0.0], a_eq=[[1.0, 1.0]], b_eq=[1.0], start=start)
+
+
+def test_start_rejects_repeated_column():
+    with pytest.raises(ValueError, match="repeats"):
+        LinearProgram.build(c=[1.0, 0.0, 0.0], a_eq=[[1.0, 1.0, 0.0], [0.0, 1.0, 1.0]],
+                            b_eq=[1.0, 1.0], start=(1, 1))
+
+
+def test_singular_start_falls_back_to_two_phase():
+    # Columns 0 and 1 are equal, so the start basis cannot be factored.
+    lp = LinearProgram.build(c=[1.0, 2.0, 3.0], a_eq=[[1.0, 1.0, 0.0], [1.0, 1.0, 1.0]],
+                             b_eq=[1.0, 2.0], start=(0, 1))
+    sol = solve_lp(lp)
+    ref = solve_lp(dataclasses.replace(lp, start=None))
+    assert sol.status == ref.status == "optimal"
+    assert sol.objective == ref.objective == pytest.approx(5.0, abs=1e-12)
+    assert np.array_equal(sol.x, ref.x)
+
+
+def test_infeasible_start_falls_back_to_two_phase():
+    # e_0 violates the >= row, so phase 1 runs; the optimum is x = (1/2, 1/2).
+    lp = LinearProgram.build(c=[1.0, 0.5], a_ub=[[0.0, 1.0]], b_ub=[0.5],
+                             a_eq=[[1.0, 1.0]], b_eq=[1.0], start=(0,))
+    sol = solve_lp(lp)
+    ref = solve_lp(dataclasses.replace(lp, start=None))
+    assert sol.status == ref.status == "optimal"
+    assert np.array_equal(sol.x, ref.x)
+    assert sol.objective == pytest.approx(0.75, abs=1e-12)
