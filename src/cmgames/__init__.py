@@ -39,6 +39,7 @@ from .modifications import (
 from .aux_mdps import (
     AuxiliaryMDP,
     LiftedReward,
+    alpha_from_modification,
     aux_occupancy,
     build_mdp1,
     build_mdp2,

@@ -242,6 +242,20 @@ def optimize_aux(mdp: AuxiliaryMDP, lifted: LiftedReward,
     return float(mdp.rho @ value), argmod
 
 
+def alpha_from_modification(mod: MarkovModification,
+                            mods: list[MarkovModification]) -> np.ndarray:
+    """Product weights that realize a stochastic modification as a mixture.
+
+    alpha_k = prod_{t,s,rec} phi_t(s, rec)[k(t, s, rec)]: each cell's target
+    is drawn independently from phi (Kuhn's behavioural-to-mixed
+    construction).  A trajectory visits each (t, s, rec) cell at most once,
+    so the alpha-mixture of the deterministic modifications' occupancies
+    equals the occupancy of phi exactly.  Inverse of modification_from_alpha.
+    """
+    picked = np.einsum("ktsrp,tsrp->ktsr", np.stack([m.tables for m in mods]), mod.tables)
+    return picked.reshape(len(mods), -1).prod(axis=1)
+
+
 def modification_from_alpha(game: ConstrainedMarkovGame, player: int,
                             policy: np.ndarray, alpha: np.ndarray,
                             mods: list[MarkovModification]) -> MarkovModification:

@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .aux_mdps import build_mdp1, build_mdp2, lift_reward, optimize_aux
+from .aux_mdps import alpha_from_modification, build_mdp1, build_mdp2, lift_reward, optimize_aux
 from .bundled import bundled_path
 from .dynamics import compute_occupancy, evaluate, feasibility
 from .equilibrium import (
@@ -52,7 +52,6 @@ from .lp import (
     NumericalLPError,
     best_feasible_modification,
     check_lp_regularity,
-    hull_membership,
     mix_occupancies,
     modification_values,
 )
@@ -209,7 +208,8 @@ def cmd_reproduce_paper(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Equivalence suite (markovianization, hull membership, backward induction)
+# Equivalence suite (markovianization, hull membership by product weights,
+# backward induction)
 # ---------------------------------------------------------------------------
 
 def _random_policy(game, rng) -> np.ndarray:
@@ -235,7 +235,11 @@ def equivalence_suite(game, player: int, samples: int, seed: int,
     Covers: auxiliary-MDP kernel stochasticity, markovianization occupancy
     preservation, hull membership of stochastic-modification occupancies in
     the deterministic family, and agreement of backward induction with
-    exhaustive enumeration.
+    exhaustive enumeration.  Hull membership is checked against its explicit
+    witness, the product weights of aux_mdps.alpha_from_modification: the
+    assertion passes iff the alpha-mixture of the deterministic occupancies
+    reproduces the stochastic modification's occupancy within 1e-7.  No
+    linear program is solved; lp.hull_membership is the tests' oracle.
     """
     rng = np.random.default_rng(seed)
     rows = []
@@ -268,9 +272,9 @@ def equivalence_suite(game, player: int, samples: int, seed: int,
                                  size=(game.horizon, game.num_states,
                                        game.action_counts[player])))
         d_phi = compute_occupancy(game, apply_modification(game, policy, phi))
-        hull = hull_membership(d_phi, list(vals.occupancies))
-        add(f"hull_membership[{k}]", hull.member and hull.residual <= 1e-7,
-            f"residual {hull.residual}")
+        alpha = alpha_from_modification(phi, vals.mods)
+        residual = float(np.abs(mix_occupancies(alpha, vals.occupancies) - d_phi).max())
+        add(f"hull_membership[{k}]", residual <= 1e-7, f"residual {residual}")
 
         lifted = lift_reward(game, player, policy, game.rewards[player])
         value, _ = optimize_aux(mdp2, lifted, direction="max")
@@ -427,15 +431,19 @@ def example_assertions(seed: int):
                     f"positive weights at eps={rep.min_weight}")
 
     def e2_unique_feasible():
+        # The 1/100 grid on the simplex, one vectorised (iy, iz) slice per ix,
+        # visited in the order of a triple loop over (ix, iy, iz).
         count = 0
         found = None
         for ix in range(101):
-            for iy in range(101 - ix):
-                for iz in range(101 - ix - iy):
-                    pol = (ix / 100, iy / 100, iz / 100, (100 - ix - iy - iz) / 100)
-                    if min(pol) >= 0.25 - 1e-9:
-                        count += 1
-                        found = pol
+            iy, iz = np.indices((101 - ix, 101 - ix)).reshape(2, -1)
+            keep = iy + iz <= 100 - ix
+            iy, iz = iy[keep], iz[keep]
+            grid = np.stack([np.full_like(iy, ix), iy, iz, 100 - ix - iy - iz], axis=1) / 100
+            hits = grid[grid.min(axis=1) >= 0.25 - 1e-9]
+            count += len(hits)
+            if len(hits):
+                found = tuple(hits[-1].tolist())
         ok = count == 1 and found == (0.25, 0.25, 0.25, 0.25)
         lib = feasibility(e2, np.array([[list(found)]])).feasible if found else False
         return ok and lib, f"{count} feasible grid points, {found}"

@@ -49,7 +49,6 @@ class NoFeasibleStartError(RuntimeError):
 
 @dataclass(frozen=True)
 class EquilibriumCertificate:
-    policy: np.ndarray
     verdict: str
     tol: float
     slacks: np.ndarray               # (N, J)
@@ -88,9 +87,8 @@ def verify_cce(game: ConstrainedMarkovGame, policy: np.ndarray,
     values = evaluate(game, occupancy)
     slacks = slacks_of(game, occupancy)
     if slacks.size and slacks.min() < -tol:
-        return EquilibriumCertificate(policy=policy, verdict=INFEASIBLE_POLICY, tol=tol,
-                                      slacks=slacks, gaps=None, psi=None,
-                                      reward_values=values.reward)
+        return EquilibriumCertificate(verdict=INFEASIBLE_POLICY, tol=tol, slacks=slacks,
+                                      gaps=None, psi=None, reward_values=values.reward)
     psi = np.empty(game.num_players)
     for i in range(game.num_players):
         program = lpmod.build_pair_occupancy_lp(game, i, policy)
@@ -102,7 +100,7 @@ def verify_cce(game: ConstrainedMarkovGame, policy: np.ndarray,
         psi[i] = sol.objective
     gaps = psi - values.reward
     verdict = CONSTRAINED_CE if gaps.max() <= tol else NOT_CE
-    return EquilibriumCertificate(policy=policy, verdict=verdict, tol=tol, slacks=slacks,
+    return EquilibriumCertificate(verdict=verdict, tol=tol, slacks=slacks,
                                   gaps=gaps, psi=psi, reward_values=values.reward)
 
 

@@ -332,3 +332,48 @@ def test_modification_from_alpha_realizes_mixture(toy):
         phi = cm.modification_from_alpha(toy, player, pol, alpha, vals.mods)
         occ = cm.compute_occupancy(toy, cm.apply_modification(toy, pol, phi))
         assert np.abs(occ - mixed).max() <= 1e-9
+
+
+def _modified_occupancy(game, pol, mod):
+    return cm.compute_occupancy(game, cm.apply_modification(game, pol, mod))
+
+
+@pytest.mark.parametrize("seed,states,horizon,action_counts,player", [
+    (1, 2, 1, (2, 2), 0),
+    (2, 2, 2, (2, 2), 1),
+    (3, 1, 3, (2, 2), 0),
+    (4, 1, 1, (3, 2), 0),
+    (5, 2, 2, (3, 2), 1),
+    (6, 2, 1, (2, 2, 2), 2),
+    (7, 2, 2, (1, 2), 0),     # single-action player: K = 1
+    (8, 2, 2, (1, 2), 1),
+])
+def test_alpha_from_modification_is_a_hull_witness(seed, states, horizon, action_counts,
+                                                   player):
+    rng = np.random.default_rng(seed)
+    game = random_game(rng, num_states=states, horizon=horizon, action_counts=action_counts)
+    pol = random_policy(rng, game)
+    vals = modification_values(game, player, pol)
+    phi = random_markov_mod(rng, game, player)
+    d_phi = _modified_occupancy(game, pol, phi)
+    alpha = cm.alpha_from_modification(phi, vals.mods)
+    assert alpha.min() >= 0.0 and abs(alpha.sum() - 1.0) <= 1e-12
+    assert np.abs(cm.mix_occupancies(alpha, vals.occupancies) - d_phi).max() <= 1e-12
+    assert cm.hull_membership(d_phi, list(vals.occupancies)).member
+    # Round trip through the inverse read-back.
+    back = cm.modification_from_alpha(game, player, pol, alpha, vals.mods)
+    assert np.abs(_modified_occupancy(game, pol, back) - d_phi).max() <= 1e-12
+
+
+def test_alpha_from_modification_rejects_outside_point():
+    # phi's occupancy under another policy is outside the hull of pol's
+    # deterministic modifications: the witness misses it, and so does the oracle.
+    rng = np.random.default_rng(11)
+    game = random_game(rng, num_states=2, horizon=2)
+    pol, other = random_policy(rng, game), random_policy(rng, game)
+    vals = modification_values(game, 0, pol)
+    phi = random_markov_mod(rng, game, 0)
+    outside = _modified_occupancy(game, other, phi)
+    alpha = cm.alpha_from_modification(phi, vals.mods)
+    assert np.abs(cm.mix_occupancies(alpha, vals.occupancies) - outside).max() > 1e-7
+    assert not cm.hull_membership(outside, list(vals.occupancies)).member

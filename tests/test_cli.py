@@ -220,3 +220,13 @@ def test_find_loose_h2_game_exits_with_verdict(capsys):
     code, rep = run(capsys, "find", str(game), "--max-iters", "20", "--tol", "1e-6", "--json")
     assert code == 3
     assert rep["results"]["certificate"]["verdict"] == "not_CE"
+
+
+def test_equivalence_former_singular_basis_game_passes(capsys):
+    # The hull-membership program hit a singular basis on this game (exit 6);
+    # the suite now checks the closed-form product-weight witness instead.
+    game = Path(__file__).parent / "data" / "equivalence_singular_basis.game"
+    code, rep = run(capsys, "equivalence", str(game), "--samples", "1",
+                    "--seed", "549621295", "--json")
+    assert code == 0
+    assert rep["results"]["passed"] is True
