@@ -34,7 +34,6 @@ from .modifications import (
     enumerate_det_modifications,
     identity_modification,
     markovianize,
-    nonmarkov_from_markov,
 )
 from .aux_mdps import (
     AuxiliaryMDP,
@@ -52,7 +51,6 @@ from .lp import (
     LPSolution,
     NumericalLPError,
     best_feasible_modification,
-    best_markov_modification,
     build_best_modification_lp,
     build_pair_occupancy_lp,
     check_lp_regularity,

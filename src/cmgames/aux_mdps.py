@@ -202,11 +202,6 @@ def lift_reward(game: ConstrainedMarkovGame, player: int, policy: np.ndarray,
     return LiftedReward(player=player, tables=tuple(tables))
 
 
-def lifted_value(mdp: AuxiliaryMDP, lifted: LiftedReward,
-                 occupancies: list[np.ndarray]) -> float:
-    return float(sum(np.sum(occ * tab) for occ, tab in zip(occupancies, lifted.tables)))
-
-
 def optimize_aux(mdp: AuxiliaryMDP, lifted: LiftedReward,
                  direction: str = "max") -> tuple[float, MarkovModification]:
     """Exact backward induction over the pair MDP.

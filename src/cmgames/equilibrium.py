@@ -113,7 +113,6 @@ class StrongSlaterResult:
     player: int
     holds: bool
     margin: float               # max over modifications of the min slack
-    alpha: np.ndarray
 
     def as_dict(self) -> dict:
         return {"player": self.player, "holds": self.holds, "margin": self.margin}
@@ -128,11 +127,9 @@ def check_strong_slater_at(game: ConstrainedMarkovGame, player: int, policy: np.
     """
     vals = lpmod.modification_values(game, player, policy, cap=cap)
     if vals.constraint.shape[0] == 0:
-        return StrongSlaterResult(player=player, holds=True, margin=np.inf,
-                                  alpha=np.eye(len(vals.mods))[vals.identity_index])
-    margin, alpha = lpmod.max_min_slack(vals.constraint, vals.thresholds)
-    return StrongSlaterResult(player=player, holds=margin > BOUNDARY_TOL,
-                              margin=margin, alpha=alpha)
+        return StrongSlaterResult(player=player, holds=True, margin=np.inf)
+    margin, _ = lpmod.max_min_slack(vals.constraint, vals.thresholds)
+    return StrongSlaterResult(player=player, holds=margin > BOUNDARY_TOL, margin=margin)
 
 
 @dataclass(frozen=True)
@@ -420,7 +417,10 @@ def find_cce(game: ConstrainedMarkovGame, initial: np.ndarray | None = None,
     Each round solves every player's best-feasible-modification program at
     pi = Gamma(d), then moves d toward the chosen player's optimal mixture
     with step (Psi^i - V^{r^i}) / (2H); the step always lies in [0, 1/2] and
-    every iterate stays feasible.  Convergence is not guaranteed, only
+    every iterate stays feasible.  A player's program starts at the identity
+    modification the first time and afterwards at that player's previous
+    optimal basis, which the damped step usually leaves feasible; when it
+    does not, the solver runs phase 1.  Convergence is not guaranteed, only
     existence is, so the returned certificate is authoritative, not the flag.
     Without binding constraints the step shrinks with the gap, so the gap
     falls only like 2/t: example2 with J = 0 still has a gap of 2.0e-4 after
@@ -459,6 +459,10 @@ def find_cce(game: ConstrainedMarkovGame, initial: np.ndarray | None = None,
         mods, identity_index = enumerate_det_modifications(game, i, cap=cap)
         families.append((mods, identity_index, np.stack([mod.tables for mod in mods])))
 
+    # Each player's last optimal basis starts the next iteration's program:
+    # the columns stay, only their values move with the damped step.
+    bases = [None] * game.num_players
+
     for it in range(max_iters):
         policy = occupancy_to_policy(game, d)
         occ_pi = compute_occupancy(game, policy)
@@ -469,8 +473,12 @@ def find_cce(game: ConstrainedMarkovGame, initial: np.ndarray | None = None,
             mods, identity_index, tables = families[i]
             vals = lpmod.modification_values(game, i, policy, mods=mods,
                                              identity_index=identity_index, tables=tables)
-            sol = lpmod.solve_lp(lpmod.build_best_modification_lp(vals))
+            program = lpmod.build_best_modification_lp(vals)
+            if bases[i] is not None:
+                program = replace(program, start=bases[i])
+            sol = lpmod.solve_lp(program)
             lpmod.require_optimal(sol.status, "best-modification program mid-search")
+            bases[i] = sol.basis
             gaps[i] = sol.objective - reward_values[i]
             per_player.append((sol.x, vals.occupancies))
         if gaps.max() <= tol:

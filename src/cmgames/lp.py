@@ -2,14 +2,16 @@
 
 The solver handles   max c.x  s.t.  A_ub x >= b_ub,  A_eq x = b_eq,  x >= 0
 with Bland's rule throughout, so it terminates on degenerate problems and
-always returns the same vertex for the same input.  A program may name a
-starting basis: one structural column per equality row, completed by the
-surplus column of every >= row.  When that basis is nonsingular and primal
-feasible, phase 1 is skipped and phase 2 starts from it; otherwise the
-solver runs both phases exactly as without a start.  Everything downstream
-(the pair-MDP occupancy program behind Psi^i, best-feasible-modification
-programs, hull membership, max-min slack programs, regularity probes)
-reduces to this form.
+always returns the same vertex for the same input.  An optimal solution
+carries its final basis, and a program may name a starting basis: either
+that whole basis, or one structural column per equality row, completed by
+the surplus column of every >= row.  When the basis is nonsingular and
+primal feasible, phase 1 is skipped and phase 2 starts from it; otherwise
+the solver runs both phases exactly as without a start.  So a sequence of
+related programs can each start from the previous one's optimum.
+Everything downstream (the pair-MDP occupancy program behind Psi^i,
+best-feasible-modification programs, hull membership, max-min slack
+programs, regularity probes) reduces to this form.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .aux_mdps import build_mdp2, lift_reward
-from .dynamics import flow_rows, normalize_or_uniform, propagate
+from .dynamics import flow_rows, propagate
 from .game import ConstrainedMarkovGame
 from .modifications import (
     DEFAULT_ENUM_CAP,
@@ -56,9 +58,12 @@ def require_optimal(status: str, what: str) -> None:
 class LinearProgram:
     """max c.x with A_ub x >= b_ub, A_eq x = b_eq and x >= 0 componentwise.
 
-    ``start`` optionally names one structural column per equality row; with
-    the surplus column of every >= row it forms the basis phase 2 starts
-    from, provided that basis is nonsingular and primal feasible.
+    ``start`` optionally names the basis phase 2 starts from, provided it is
+    nonsingular and primal feasible.  Columns are numbered as in
+    ``LPSolution.basis``: structural 0..n-1, then the surplus column of >= row
+    r as n + r.  The short form gives one structural column per equality
+    row and is completed by every surplus column; the whole form gives all
+    m_ub + m_eq columns, as ``LPSolution.basis`` returns them.
     """
 
     c: np.ndarray
@@ -83,9 +88,12 @@ class LinearProgram:
             raise ValueError("linear program has non-finite coefficients")
         if start is not None:
             start = tuple(operator.index(j) for j in start)
-            if len(start) != a_eq.shape[0]:
-                raise ValueError("start needs one column per equality row")
-            if any(not 0 <= j < n for j in start):
+            m_ub, m_eq = a_ub.shape[0], a_eq.shape[0]
+            if len(start) not in (m_eq, m_ub + m_eq):
+                raise ValueError("start needs one column per equality row, "
+                                 "or one per row for a whole basis")
+            width = n if len(start) == m_eq else n + m_ub
+            if any(not 0 <= j < width for j in start):
                 raise ValueError("start names a column outside the program")
             if len(set(start)) != len(start):
                 raise ValueError("start repeats a column")
@@ -94,19 +102,28 @@ class LinearProgram:
 
 @dataclass(frozen=True)
 class LPSolution:
+    """A solver outcome; ``x``, ``objective`` and ``basis`` are None unless OPTIMAL.
+
+    ``basis`` lists the final basis, one column per row in the numbering of
+    ``LinearProgram.start``, so it can start a related program.  It is also
+    None when phase 1 dropped redundant rows: the basis is then too short
+    for the full program.
+    """
+
     status: str
     x: np.ndarray | None
     objective: float | None
+    basis: tuple[int, ...] | None = None
 
 
 def _bland_pivots(a: np.ndarray, b: np.ndarray, cost: np.ndarray,
-                  basis: np.ndarray, allowed: int) -> str:
+                  basis: np.ndarray) -> str:
     """Revised simplex (minimization) with Bland's rule, in place on ``basis``.
 
     Each iteration re-solves against the original data, so degenerate pivot
     chains cannot accumulate roundoff.  Entering column: the lowest-index
-    column < ``allowed`` with negative reduced cost; leaving row: minimum
-    ratio, ties broken by the smallest basic variable index.  Returns
+    nonbasic column with negative reduced cost; leaving row: minimum ratio,
+    ties broken by the smallest basic variable index.  Returns
     NUMERICAL at the pivot limit; a singular basis raises LinAlgError.
     """
     m = a.shape[0]
@@ -115,7 +132,10 @@ def _bland_pivots(a: np.ndarray, b: np.ndarray, cost: np.ndarray,
         bmat = a[:, basis]
         x_b = np.linalg.solve(bmat, b)
         y = np.linalg.solve(bmat.T, cost[basis])
-        reduced = cost[:allowed] - y @ a[:, :allowed]
+        reduced = cost - y @ a
+        # A basic column's reduced cost is zero; roundoff in a near-singular
+        # basis must not make it enter, which would leave the basis unchanged.
+        reduced[basis] = 0.0
         candidates = np.flatnonzero(reduced < -LP_TOL)
         if candidates.size == 0:
             return OPTIMAL
@@ -138,7 +158,8 @@ def solve_lp(lp: LinearProgram) -> LPSolution:
 
     A program with a ``start`` whose basis is nonsingular and feasible
     within LP_TOL * max(1, max|b|) goes straight to phase 2 from that
-    basis; any other start is ignored and both phases run.  A singular
+    basis; any other start is ignored and both phases run.  Re-solving a
+    program from its own optimal ``basis`` makes no pivot.  A singular
     basis, the pivot limit, or a phase 1 that does not end optimal (its
     objective is bounded below by 0) is reported as NUMERICAL: roundoff
     decided the outcome, not the program.
@@ -151,14 +172,16 @@ def solve_lp(lp: LinearProgram) -> LPSolution:
 
 def _start_basis(a: np.ndarray, b: np.ndarray, n: int, m_ub: int,
                  start: tuple[int, ...] | None, feas_tol: float) -> np.ndarray | None:
-    """The start's columns plus every surplus column, if that basis is feasible.
+    """The start's basis, completed by every surplus column if it is short.
 
     None when there is no start, its basis is singular, or some basic
     variable is below -feas_tol; the caller then runs phase 1.
     """
     if start is None:
         return None
-    basis = np.concatenate([np.asarray(start, dtype=np.intp), n + np.arange(m_ub)])
+    basis = np.asarray(start, dtype=np.intp)
+    if basis.size < a.shape[0]:
+        basis = np.concatenate([basis, n + np.arange(m_ub)])
     try:
         x_b = np.linalg.solve(a[:, basis], b)
     except np.linalg.LinAlgError:
@@ -178,7 +201,7 @@ def _phase_one(a: np.ndarray, b: np.ndarray, feas_tol: float
     a1 = np.hstack([a, np.eye(m)])
     cost1 = np.concatenate([np.zeros(n_slack), np.ones(m)])
     basis = np.arange(n_slack, n_slack + m)
-    if _bland_pivots(a1, b, cost1, basis, allowed=n_slack + m) != OPTIMAL:
+    if _bland_pivots(a1, b, cost1, basis) != OPTIMAL:
         return NUMERICAL, a, b, None
     x_b = np.linalg.solve(a1[:, basis], b)
     if float(cost1[basis] @ x_b) > feas_tol:
@@ -224,7 +247,7 @@ def _two_phase(lp: LinearProgram) -> LPSolution:
         # Only nonnegativity: optimum is 0 unless some objective entry is positive.
         if (lp.c > LP_TOL).any():
             return LPSolution(status=UNBOUNDED, x=None, objective=None)
-        return LPSolution(status=OPTIMAL, x=np.zeros(n), objective=0.0)
+        return LPSolution(status=OPTIMAL, x=np.zeros(n), objective=0.0, basis=())
 
     feas_tol = LP_TOL * max(1.0, float(np.abs(b).max(initial=0.0)))
     basis = _start_basis(a, b, n, m_ub, lp.start, feas_tol)
@@ -236,7 +259,7 @@ def _two_phase(lp: LinearProgram) -> LPSolution:
     # Phase 2: minimize -c (i.e. maximize c) over the real variables.
     cost2 = np.zeros(n_slack)
     cost2[:n] = -lp.c
-    status = _bland_pivots(a, b, cost2, basis, allowed=n_slack)
+    status = _bland_pivots(a, b, cost2, basis)
     if status != OPTIMAL:
         return LPSolution(status=status, x=None, objective=None)
 
@@ -244,7 +267,8 @@ def _two_phase(lp: LinearProgram) -> LPSolution:
     x_full[basis] = np.linalg.solve(a[:, basis], b)
     x = x_full[:n]
     x[(x < 0) & (x > -1e-7)] = 0.0
-    return LPSolution(status=OPTIMAL, x=x, objective=float(lp.c @ x))
+    whole = tuple(basis.tolist()) if basis.size == m else None
+    return LPSolution(status=OPTIMAL, x=x, objective=float(lp.c @ x), basis=whole)
 
 
 # ---------------------------------------------------------------------------
@@ -318,6 +342,7 @@ def build_best_modification_lp(vals: ModificationValues) -> LinearProgram:
     policy that vertex is feasible and the solver skips phase 1.  Phase 1
     still runs when the policy is not i-feasible (possible in playerwise
     mode, or beyond LP_TOL after roundoff) or the start basis is singular.
+    find_cce replaces this start by the previous iteration's optimal basis.
     """
     return LinearProgram.build(
         c=vals.reward,
@@ -340,7 +365,7 @@ def best_feasible_modification(game: ConstrainedMarkovGame, player: int,
 
     This is the alpha-level program over the enumerated deterministic
     family, K^i variables.  verify_cce takes Psi^i from the polynomial
-    pair-MDP program (best_markov_modification) instead; this one is kept
+    pair-MDP program (build_pair_occupancy_lp) instead; this one is kept
     for the paper's claims about alpha vectors and as the oracle for it.
     Infeasible status is possible in playerwise mode when the policy itself
     is not i-feasible; for a feasible policy the identity weight vector is
@@ -382,35 +407,6 @@ def build_pair_occupancy_lp(game: ConstrainedMarkovGame, player: int,
         a_ub=np.array([lifted(game.constraint_table(player, k)) for k in range(j)]),
         b_ub=[game.threshold(player, k) for k in range(j)],
         a_eq=a_eq, b_eq=b_eq)
-
-
-@dataclass(frozen=True)
-class BestMarkovModification:
-    status: str
-    psi: float | None
-    modification: MarkovModification | None
-
-
-def best_markov_modification(game: ConstrainedMarkovGame, player: int,
-                             policy: np.ndarray) -> BestMarkovModification:
-    """Psi^i(pi) from the pair-MDP occupancy program, with a modification attaining it.
-
-    Stochastic Markov modifications are exactly the pair MDP's policies, and
-    their pair occupancies form the polytope of the program, the convex hull
-    of the deterministic modifications' occupancies; so the optimum equals
-    best_feasible_modification's without enumerating K^i modifications.
-    The modification is read back from x per (t, s, r) cell, uniform where
-    the cell is unreachable, so apply_modification can check Psi^i and the
-    constraints independently.
-    """
-    sol = solve_lp(build_pair_occupancy_lp(game, player, policy))
-    if sol.status != OPTIMAL:
-        return BestMarkovModification(status=sol.status, psi=None, modification=None)
-    ai = game.action_counts[player]
-    cells = sol.x.reshape(game.horizon, game.num_states, ai, ai)
-    return BestMarkovModification(
-        status=OPTIMAL, psi=sol.objective,
-        modification=MarkovModification(player=player, tables=normalize_or_uniform(cells)))
 
 
 # ---------------------------------------------------------------------------

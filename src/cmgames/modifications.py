@@ -96,16 +96,6 @@ def identity_modification(game: ConstrainedMarkovGame, player: int) -> MarkovMod
     return MarkovModification(player=player, tables=tables)
 
 
-def nonmarkov_from_markov(game: ConstrainedMarkovGame,
-                          mod: MarkovModification) -> NonMarkovModification:
-    """Lift a Markov modification to the history-keyed representation."""
-    sa = game.num_states * game.num_joint_actions
-    tables = tuple(
-        np.broadcast_to(mod.tables[t], (sa ** t,) + mod.tables[t].shape).copy()
-        for t in range(game.horizon))
-    return NonMarkovModification(player=mod.player, tables=tables)
-
-
 def split_player_axis(game: ConstrainedMarkovGame, arr: np.ndarray, player: int,
                       axis: int = -1) -> np.ndarray:
     """View a joint-action axis of ``arr`` as three axes (A^{<i}, A^i, A^{>i}).

@@ -3,16 +3,21 @@
 Everything here recomputes quantities by brute force (explicit trajectory
 sums, literal formula loops, basic-feasible-solution enumeration) so the
 library's propagation/LP code paths are checked against arithmetic that
-shares nothing with them.
+shares nothing with them.  The last section holds helpers that only the
+tests use; they call into the library and are not oracles themselves.
 """
 
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass
 
 import numpy as np
 
+from cmgames.dynamics import normalize_or_uniform
 from cmgames.game import COMMON, ConstrainedMarkovGame
+from cmgames.lp import OPTIMAL, build_pair_occupancy_lp, solve_lp
+from cmgames.modifications import MarkovModification, NonMarkovModification
 
 
 def all_paths(game):
@@ -224,3 +229,49 @@ def random_nonmarkov_mod(rng, game, player):
         rng.dirichlet(np.ones(ai), size=(sa ** t, game.num_states, ai))
         for t in range(game.horizon))
     return NonMarkovModification(player=player, tables=tables)
+
+
+# ---------------------------------------------------------------------------
+# Helpers that only the tests use
+# ---------------------------------------------------------------------------
+
+def nonmarkov_from_markov(game, mod):
+    """Lift a Markov modification to the history-keyed representation."""
+    sa = game.num_states * game.num_joint_actions
+    tables = tuple(
+        np.broadcast_to(mod.tables[t], (sa ** t,) + mod.tables[t].shape).copy()
+        for t in range(game.horizon))
+    return NonMarkovModification(player=mod.player, tables=tables)
+
+
+def lifted_value(mdp, lifted, occupancies) -> float:
+    """Lifted reward summed against per-step auxiliary-MDP occupancies."""
+    return float(sum(np.sum(occ * tab) for occ, tab in zip(occupancies, lifted.tables)))
+
+
+@dataclass(frozen=True)
+class BestMarkovModification:
+    status: str
+    psi: float | None
+    modification: MarkovModification | None
+
+
+def best_markov_modification(game, player, policy) -> BestMarkovModification:
+    """Psi^i(pi) from the pair-MDP occupancy program, with a modification attaining it.
+
+    Stochastic Markov modifications are exactly the pair MDP's policies, and
+    their pair occupancies form the polytope of the program, the convex hull
+    of the deterministic modifications' occupancies; so the optimum equals
+    best_feasible_modification's without enumerating K^i modifications.
+    The modification is read back from x per (t, s, r) cell, uniform where
+    the cell is unreachable, so apply_modification can check Psi^i and the
+    constraints independently.
+    """
+    sol = solve_lp(build_pair_occupancy_lp(game, player, policy))
+    if sol.status != OPTIMAL:
+        return BestMarkovModification(status=sol.status, psi=None, modification=None)
+    ai = game.action_counts[player]
+    cells = sol.x.reshape(game.horizon, game.num_states, ai, ai)
+    return BestMarkovModification(
+        status=OPTIMAL, psi=sol.objective,
+        modification=MarkovModification(player=player, tables=normalize_or_uniform(cells)))

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 import cmgames as cm
-from cmgames.aux_mdps import lifted_value, mdp_policy_from_modification
+from cmgames.aux_mdps import mdp_policy_from_modification
 from cmgames.lp import modification_values
 from oracles import (
+    lifted_value,
     modified_trajectory_occupancy,
     random_game,
     random_markov_mod,

@@ -358,3 +358,22 @@ def test_find_on_loose_h2_game_runs_its_budget():
     recheck = cm.verify_cce(game, result.policy, tol=1e-6)
     assert result.certificate.verdict == recheck.verdict == "not_CE"
     assert np.abs(result.certificate.gaps - recheck.gaps).max() <= 1e-12
+
+
+def test_find_certifies_last_iterate_of_pivot_limit_game():
+    # The warm-started search ends this H = 1 game at a policy where player
+    # 1's pair program is degenerate.  Phase 1 reached a near-singular basis
+    # whose roundoff priced a basic column negative; re-entering it left the
+    # basis unchanged until the pivot limit (exit 6).  The simplex now prices
+    # nonbasic columns only.
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    game = cm.load_game(Path(__file__).parent / "data" / "find_pivot_limit.game")
+    result = cm.find_cce(game, max_iters=20, tol=1e-6)
+    cert = result.certificate
+    assert cert.verdict == "not_CE"
+    values = cm.evaluate(game, cm.compute_occupancy(game, result.policy))
+    for i in range(game.num_players):
+        lp = cm.build_pair_occupancy_lp(game, i, result.policy)
+        ref = linprog(-lp.c, A_ub=-lp.a_ub, b_ub=-np.minimum(lp.b_ub, values.constraint[i]),
+                      A_eq=lp.a_eq, b_eq=lp.b_eq, bounds=(0, None), method="highs")
+        assert ref.status == 0 and cert.psi[i] == pytest.approx(-ref.fun, abs=1e-9)

@@ -3,10 +3,12 @@
 A program's ``start`` skips phase 1 only when its basis is nonsingular and
 feasible; every other start must give exactly the two-phase result.  The
 best-modification programs start at the identity modification, so at an
-i-feasible policy they take phase 2 alone.
+i-feasible policy they take phase 2 alone; inside find_cce each later
+program starts at the player's previous optimal basis.
 """
 
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -196,3 +198,152 @@ def test_infeasible_start_falls_back_to_two_phase():
     assert sol.status == ref.status == "optimal"
     assert np.array_equal(sol.x, ref.x)
     assert sol.objective == pytest.approx(0.75, abs=1e-12)
+
+
+# --- The whole-basis form and LPSolution.basis ---------------------------------
+
+def _two_row_lp(start=None):
+    """n = 3 structural columns, one >= row (surplus column 3), two equality rows."""
+    return LinearProgram.build(c=[1.0, 2.0, 0.5], a_ub=[[1.0, 0.0, 1.0]], b_ub=[0.25],
+                               a_eq=[[1.0, 1.0, 1.0], [0.0, 1.0, 2.0]], b_eq=[1.0, 0.5],
+                               start=start)
+
+
+@pytest.mark.parametrize("start, message", [
+    ((0, 1, 2, 3), "one column per equality row"),
+    ((0,), "one column per equality row"),
+    ((0, 1, 4), "outside the program"),     # one past the last surplus column
+    ((0, -1, 3), "outside the program"),
+    ((0, 3), "outside the program"),        # the short form names structural columns only
+    ((0, 3, 3), "repeats"),
+    ((0, 1, 3.0), "integer"),
+])
+def test_whole_basis_start_is_validated(start, message):
+    with pytest.raises((ValueError, TypeError), match=message):
+        _two_row_lp(start)
+
+
+def _recording_pivots(monkeypatch):
+    """Wrap _bland_pivots; each call records (basis before, basis after)."""
+    calls = []
+    real = lpmod._bland_pivots
+
+    def recording(a, b, cost, basis):
+        before = basis.copy()
+        status = real(a, b, cost, basis)
+        calls.append((before, basis.copy()))
+        return status
+
+    monkeypatch.setattr(lpmod, "_bland_pivots", recording)
+    return calls
+
+
+def test_resolve_from_own_basis_makes_no_pivot(alpha_programs, monkeypatch):
+    programs = alpha_programs + [_random_started_lp(np.random.default_rng(7300 + s))
+                                 for s in range(20)]
+    calls = _recording_pivots(monkeypatch)
+    checked = 0
+    for lp in programs:
+        sol = solve_lp(lp)
+        if sol.basis is None:
+            continue
+        m = lp.b_ub.shape[0] + lp.b_eq.shape[0]
+        assert len(sol.basis) == m and len(set(sol.basis)) == m
+        calls.clear()
+        again = solve_lp(dataclasses.replace(lp, start=sol.basis))
+        assert len(calls) == 1
+        before, after = calls[0]
+        assert np.array_equal(before, after) and tuple(after) == sol.basis
+        assert again.status == "optimal" and again.basis == sol.basis
+        assert np.array_equal(again.x, sol.x) and again.objective == sol.objective
+        checked += 1
+    assert checked >= 100
+
+
+@pytest.mark.parametrize("lp", [
+    # Columns 0 and 1 are equal in every row: the whole basis is singular.
+    LinearProgram.build(c=[1.0, 2.0, 3.0], a_ub=[[1.0, 1.0, 0.0]], b_ub=[0.5],
+                        a_eq=[[1.0, 1.0, 0.0], [1.0, 1.0, 1.0]], b_eq=[1.0, 2.0],
+                        start=(0, 1, 3)),
+    # x_0 = 1 leaves the surplus of x_1 >= 0.5 at -0.5: the whole basis is infeasible.
+    LinearProgram.build(c=[1.0, 0.5], a_ub=[[0.0, 1.0]], b_ub=[0.5],
+                        a_eq=[[1.0, 1.0]], b_eq=[1.0], start=(0, 2)),
+], ids=["singular", "infeasible"])
+def test_rejected_whole_basis_falls_back_to_two_phase(lp, monkeypatch):
+    calls = _recording_pivots(monkeypatch)
+    sol = solve_lp(lp)
+    assert len(calls) == 2                   # phase 1, then phase 2
+    ref = solve_lp(dataclasses.replace(lp, start=None))
+    assert sol.status == ref.status == "optimal"
+    assert np.array_equal(sol.x, ref.x) and sol.objective == ref.objective
+    assert sol.basis == ref.basis
+
+
+@pytest.mark.parametrize("lp, status", [
+    (LinearProgram.build(c=[1.0, 1.0], a_ub=[[1.0, 1.0]], b_ub=[2.0],
+                         a_eq=[[1.0, 1.0]], b_eq=[1.0]), "infeasible"),
+    (LinearProgram.build(c=[1.0, 0.0], a_ub=[[1.0, -1.0]], b_ub=[0.0]), "unbounded"),
+], ids=["infeasible", "unbounded"])
+def test_basis_is_none_unless_optimal(lp, status):
+    sol = solve_lp(lp)
+    assert sol.status == status and sol.basis is None
+
+
+def test_basis_is_none_on_numerical(monkeypatch):
+    def singular(*args, **kwargs):
+        raise np.linalg.LinAlgError("singular matrix")
+
+    monkeypatch.setattr(lpmod, "_bland_pivots", singular)
+    sol = solve_lp(_two_row_lp())
+    assert sol.status == "numerical" and sol.basis is None
+
+
+def test_basis_is_none_when_phase_one_drops_a_row():
+    # The second equality row is twice the first, so phase 1 drops one of them.
+    lp = LinearProgram.build(c=[1.0, 2.0], a_eq=[[1.0, 1.0], [2.0, 2.0]], b_eq=[1.0, 2.0])
+    sol = solve_lp(lp)
+    assert sol.status == "optimal" and sol.objective == pytest.approx(2.0, abs=1e-12)
+    assert sol.basis is None
+
+
+# --- find_cce's warm start ------------------------------------------------------
+
+def _find_games():
+    for seed in range(6):
+        rng = np.random.default_rng(7400 + seed)
+        yield random_game(rng, num_states=2, horizon=1 + seed % 2, action_counts=(2, 2),
+                          j=1 + seed % 3, threshold_scale=0.9)
+    yield cm.load_game(Path(__file__).parent / "data" / "find_singular_basis.game")
+
+
+def test_find_cce_warm_starts_match_identity_starts(monkeypatch):
+    """Every best-modification program find_cce solves, re-solved from the identity."""
+    built, solved = [], []
+    real_build, real_solve = lpmod.build_best_modification_lp, lpmod.solve_lp
+
+    def recording_build(vals):
+        built.append(real_build(vals))
+        return built[-1]
+
+    def recording_solve(lp):
+        sol = real_solve(lp)
+        if lp.start is not None:             # the feasible-start and Psi programs have none
+            solved.append((lp, sol))
+        return sol
+
+    monkeypatch.setattr(lpmod, "build_best_modification_lp", recording_build)
+    monkeypatch.setattr(lpmod, "solve_lp", recording_solve)
+    for game in _find_games():
+        cm.find_cce(game, max_iters=20, tol=1e-6)
+    monkeypatch.undo()
+
+    assert len(built) == len(solved)
+    warm = 0
+    for identity, (lp, sol) in zip(built, solved):
+        assert np.array_equal(lp.c, identity.c) and np.array_equal(lp.a_ub, identity.a_ub)
+        assert np.array_equal(lp.b_ub, identity.b_ub)
+        warm += lp.start != identity.start
+        ref = solve_lp(identity)
+        assert sol.status == ref.status
+        assert abs(sol.objective - ref.objective) <= 1e-12
+    assert warm >= 100

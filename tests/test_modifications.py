@@ -9,6 +9,7 @@ from cmgames.modifications import CapExceededError, count_det_modifications
 from oracles import (
     composed_policy_oracle,
     modified_trajectory_occupancy,
+    nonmarkov_from_markov,
     random_game,
     random_markov_mod,
     random_nonmarkov_mod,
@@ -134,7 +135,7 @@ def test_nonmarkov_ignoring_history_equals_markov(toy):
     rng = np.random.default_rng(11)
     pol = random_policy(rng, toy)
     phi = random_markov_mod(rng, toy, 1)
-    lifted = cm.nonmarkov_from_markov(toy, phi)
+    lifted = nonmarkov_from_markov(toy, phi)
     occ_nm = cm.apply_nonmarkov(toy, pol, lifted)
     occ_m = cm.compute_occupancy(toy, cm.apply_modification(toy, pol, phi))
     assert np.abs(occ_nm - occ_m).max() <= 1e-12
@@ -143,7 +144,7 @@ def test_nonmarkov_ignoring_history_equals_markov(toy):
 def test_nonmarkov_identity(toy):
     rng = np.random.default_rng(12)
     pol = random_policy(rng, toy)
-    lifted = cm.nonmarkov_from_markov(toy, cm.identity_modification(toy, 0))
+    lifted = nonmarkov_from_markov(toy, cm.identity_modification(toy, 0))
     occ = cm.apply_nonmarkov(toy, pol, lifted)
     assert np.abs(occ - cm.compute_occupancy(toy, pol)).max() <= 1e-15
 
@@ -194,14 +195,14 @@ def test_markovianize_fixed_point(toy):
     rng = np.random.default_rng(15)
     pol = random_policy(rng, toy)
     phi = random_markov_mod(rng, toy, 0)
-    bar = cm.markovianize(toy, pol, cm.nonmarkov_from_markov(toy, phi))
+    bar = cm.markovianize(toy, pol, nonmarkov_from_markov(toy, phi))
     occ_phi = cm.compute_occupancy(toy, cm.apply_modification(toy, pol, phi))
     occ_bar = cm.compute_occupancy(toy, cm.apply_modification(toy, pol, bar))
     assert np.abs(occ_phi - occ_bar).max() <= 1e-12
     # equal on reachable cells
     mdp = cm.build_mdp1(toy, 0, pol)
     occ1 = cm.aux_occupancy(mdp, mdp_policy_from_modification(
-        mdp, toy, cm.nonmarkov_from_markov(toy, phi)))
+        mdp, toy, nonmarkov_from_markov(toy, phi)))
     for t in range(toy.horizon):
         reach = occ1[t][:-1].reshape(-1, toy.num_states, 2, 2).sum(axis=(0, 3))
         mask = reach > 1e-12

@@ -7,12 +7,11 @@ import cmgames as cm
 from cmgames.equilibrium import BOUNDARY_TOL, feasible_occupancy
 from cmgames.lp import (
     best_feasible_modification,
-    best_markov_modification,
     build_pair_occupancy_lp,
     solve_lp,
 )
 from cmgames.modifications import DEFAULT_ENUM_CAP, count_det_modifications
-from oracles import random_game, random_policy
+from oracles import best_markov_modification, random_game, random_policy
 
 # (|S|, H, action counts): H = 1..3, a three-action player, three players and
 # single-action players; every family stays small enough to enumerate.
