@@ -188,18 +188,42 @@ class LiftedReward:
             arr.setflags(write=False)
 
 
+def _pair_scale(game: ConstrainedMarkovGame, player: int) -> np.ndarray:
+    """|A_i|^(t+1) per timestep, shaped to broadcast over (t, s, ...) cells."""
+    return float(game.action_counts[player]) ** np.arange(1, game.horizon + 1)[:, None, None, None]
+
+
+def lift_signals(game: ConstrainedMarkovGame, player: int, policy: np.ndarray,
+                 signals: np.ndarray) -> np.ndarray:
+    """Lift a stack of (..., H, S, A) signals: [..., t, s, r, p] is LiftedReward's ((s, r), p)."""
+    lifted = np.einsum("tsbrf,...tsbpf->...tsrp", split_player_axis(game, policy, player),
+                       split_player_axis(game, np.asarray(signals, dtype=np.float64), player))
+    return _pair_scale(game, player) * lifted
+
+
 def lift_reward(game: ConstrainedMarkovGame, player: int, policy: np.ndarray,
                 signal: np.ndarray) -> LiftedReward:
     """Lift a per-step (H, S, A) signal (a reward r^i or any constraint g^{i,j})."""
     ai = game.action_counts[player]
-    lifted = np.einsum("tsbrf,tsbpf->tsrp", split_player_axis(game, policy, player),
-                       split_player_axis(game, np.asarray(signal, dtype=np.float64), player))
-    tables = []
-    for t, block in enumerate(lifted):
-        table = np.zeros((block.shape[0] * ai + 1, ai))
-        table[:-1] = float(ai) ** (t + 1) * block.reshape(-1, ai)
-        tables.append(table)
+    lifted = lift_signals(game, player, policy, signal).reshape(game.horizon, -1, ai)
+    tables = np.concatenate([lifted, np.zeros((game.horizon, 1, ai))], axis=1)   # b earns 0
     return LiftedReward(player=player, tables=tuple(tables))
+
+
+def pair_to_game_occupancy(game: ConstrainedMarkovGame, player: int, policy: np.ndarray,
+                           pair: np.ndarray) -> np.ndarray:
+    """Game occupancy (H, S, A) of a pair-MDP occupancy x, the adjoint of the lift.
+
+    d_t(s, (p, a^{-i})) = |A_i|^(t+1) * sum_r x_t((s, r), p) * pi_t((r, a^{-i}) | s),
+    with x over the non-absorbing cells in (t, s, r, p) order, flat as the
+    pair program's variables or shaped (H, S, A_i, A_i).  So the lifted value
+    of x under any signal is that signal's value under d.
+    """
+    ai = game.action_counts[player]
+    pair = np.reshape(pair, (game.horizon, game.num_states, ai, ai))
+    d = np.einsum("tsrp,tsbrf->tsbpf", _pair_scale(game, player) * pair,
+                  split_player_axis(game, policy, player))
+    return d.reshape(policy.shape)
 
 
 def optimize_aux(mdp: AuxiliaryMDP, lifted: LiftedReward,

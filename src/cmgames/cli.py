@@ -4,14 +4,14 @@ Reports go to standard output as JSON (sorted keys, so identical inputs and
 seed produce byte-identical bytes); a human-readable summary goes to standard
 error when it is a terminal and --json was not given.  Every command takes
 --json; --cap (deterministic-modification enumeration cap) applies to the
-commands that enumerate on user input (find, slater, equivalence) and
+commands that enumerate on user input (slater, equivalence) and
 --history-cap to equivalence, the only one that processes non-Markov
-modifications.  verify solves a polynomial program and enumerates nothing.
-find exits with its own certificate's verdict.  Exit codes: 0
-success/verdict-positive, 1 validation failure, 2 I/O (any unreadable path
-or malformed file), 3 not_CE / failures found, 4 infeasible, 5 resource
-cap, 6 numerical trouble in a linear program (singular basis or pivot
-limit).
+modifications.  verify and find solve polynomial pair-MDP programs and
+enumerate nothing.  find exits with its own certificate's verdict.  Exit
+codes: 0 success/verdict-positive, 1 validation failure, 2 I/O (any
+unreadable path or malformed file), 3 not_CE / failures found, 4
+infeasible, 5 resource cap, 6 numerical trouble in a linear program
+(singular basis or pivot limit).
 """
 
 from __future__ import annotations
@@ -160,7 +160,7 @@ def cmd_find(args) -> int:
         return EXIT_VALIDATION
     initial = load_policy(args.initial, game) if args.initial else None
     result = find_cce(game, initial=initial, max_iters=args.max_iters, tol=args.tol,
-                      player_rule=args.rule, cap=args.cap)
+                      player_rule=args.rule)
     results = {
         "policy": result.policy.tolist(),
         "trace": result.trace.as_dict(),
@@ -536,7 +536,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-iters", type=int, default=10_000)
     p.add_argument("--tol", type=float, default=1e-6)
     p.add_argument("--rule", choices=("max-gap", "round-robin"), default="max-gap")
-    common(p)
+    common(p, cap=False)
     p.set_defaults(func=cmd_find)
 
     p = sub.add_parser("slater", help="sampled Slater-condition diagnostics")

@@ -12,7 +12,8 @@ K^i = |A^i|^(H*|S|*|A^i|) deterministic ones.  The two optima agree because
 stochastic Markov modifications are the convex hull of the deterministic
 ones (in occupancy), and by the modification-class equivalences the
 certificate covers the full history-dependent stochastic class as well.
-The fixed-point search and the Slater checks still work over the
+The fixed-point search steps along the same program's optima, so it
+enumerates nothing either; the Slater checks still work over the
 enumerated family, whose weight vectors they report.
 """
 
@@ -23,7 +24,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import lp as lpmod
-from .aux_mdps import build_mdp2, lift_reward, optimize_aux
+from .aux_mdps import build_mdp2, lift_reward, optimize_aux, pair_to_game_occupancy
 from .dynamics import (
     VALUE_TOL,
     compute_occupancy,
@@ -34,7 +35,7 @@ from .dynamics import (
     validate_occupancy,
 )
 from .game import COMMON, ConstrainedMarkovGame
-from .modifications import DEFAULT_ENUM_CAP, enumerate_det_modifications
+from .modifications import DEFAULT_ENUM_CAP
 
 BOUNDARY_TOL = 1e-9
 
@@ -67,21 +68,28 @@ class EquilibriumCertificate:
         }
 
 
+def _floored_pair_program(game: ConstrainedMarkovGame, player: int, policy: np.ndarray,
+                          constraint_values: np.ndarray) -> lpmod.LinearProgram:
+    """Psi^i's pair-MDP occupancy program with thresholds min(c^{i,j}, V^{g^{i,j}}(pi)).
+
+    The floor keeps the identity modification feasible for a policy that
+    meets its constraints only within tol; for any other it is c^{i,j}.
+    """
+    program = lpmod.build_pair_occupancy_lp(game, player, policy)
+    return replace(program, b_ub=np.minimum(program.b_ub, constraint_values))
+
+
 def verify_cce(game: ConstrainedMarkovGame, policy: np.ndarray,
                tol: float = BOUNDARY_TOL) -> EquilibriumCertificate:
     """Certificate for the constrained-correlated-equilibrium conditions.
 
     Verdict is constrained_CE iff all slacks >= -tol and all gaps <= tol.
-    Psi^i is the optimum of the pair-MDP occupancy program
-    (lp.build_pair_occupancy_lp), which equals the best-feasible-modification
+    Psi^i is the optimum of the floored pair-MDP occupancy program
+    (_floored_pair_program), which equals the best-feasible-modification
     program over the deterministic family: stochastic Markov modifications
     are its convex hull, and the modification classes give the same
-    equilibrium notion.  The program's thresholds are min(c^{i,j},
-    V^{g^{i,j}}(pi)): equal to c^{i,j} for every policy that meets its
-    constraints, and lowered to the policy's own values for one that is
-    feasible only within tol, whose identity modification would otherwise
-    be infeasible.  Raises NumericalLPError when a program hits numerical
-    trouble.
+    equilibrium notion.  Raises NumericalLPError when a program hits
+    numerical trouble.
     """
     occupancy = compute_occupancy(game, policy)   # validates the policy
     values = evaluate(game, occupancy)
@@ -91,11 +99,7 @@ def verify_cce(game: ConstrainedMarkovGame, policy: np.ndarray,
                                       gaps=None, psi=None, reward_values=values.reward)
     psi = np.empty(game.num_players)
     for i in range(game.num_players):
-        program = lpmod.build_pair_occupancy_lp(game, i, policy)
-        # Floor the thresholds at the policy's own values, so the identity
-        # modification stays feasible for a policy that is feasible within tol.
-        program = replace(program, b_ub=np.minimum(program.b_ub, values.constraint[i]))
-        sol = lpmod.solve_lp(program)
+        sol = lpmod.solve_lp(_floored_pair_program(game, i, policy, values.constraint[i]))
         lpmod.require_optimal(sol.status, f"best-modification program for player {i}")
         psi[i] = sol.objective
     gaps = psi - values.reward
@@ -410,21 +414,22 @@ class FindResult:
 
 def find_cce(game: ConstrainedMarkovGame, initial: np.ndarray | None = None,
              max_iters: int = 10_000, tol: float = 1e-6,
-             player_rule: str = "max-gap",
-             cap: int = DEFAULT_ENUM_CAP) -> FindResult:
+             player_rule: str = "max-gap") -> FindResult:
     """Damped iteration of the existence proof's point-to-set map.
 
-    Each round solves every player's best-feasible-modification program at
-    pi = Gamma(d), then moves d toward the chosen player's optimal mixture
-    with step (Psi^i - V^{r^i}) / (2H); the step always lies in [0, 1/2] and
-    every iterate stays feasible.  A player's program starts at the identity
-    modification the first time and afterwards at that player's previous
-    optimal basis, which the damped step usually leaves feasible; when it
-    does not, the solver runs phase 1.  Convergence is not guaranteed, only
-    existence is, so the returned certificate is authoritative, not the flag.
-    Without binding constraints the step shrinks with the gap, so the gap
-    falls only like 2/t: example2 with J = 0 still has a gap of 2.0e-4 after
-    the default 10 000 iterations.
+    Each round solves every player's floored pair-MDP program (the one
+    verify_cce solves) at pi = Gamma(d), then moves d toward the game
+    occupancy of the chosen player's optimum (aux_mdps.pair_to_game_occupancy)
+    with step (Psi^i - V^{r^i}) / (2H).  That target is worth Psi^i and meets
+    the floored thresholds, so the step lies in [0, 1/2] and every iterate
+    stays feasible.  Nothing is enumerated.  A player's program starts at the
+    identity modification the first time and afterwards at that player's
+    previous optimal basis, which the damped step usually leaves feasible;
+    when it does not, the solver runs phase 1.  Convergence is not
+    guaranteed, only existence is, so the returned certificate is
+    authoritative, not the flag.  Without binding constraints the step
+    shrinks with the gap, so the gap falls only like 2/t: example2 with
+    J = 0 still has a gap of 2.0e-4 after the default 10 000 iterations.
     """
     if game.constraint_mode != COMMON:
         raise ValueError("find_cce needs common constraints")
@@ -452,43 +457,29 @@ def find_cce(game: ConstrainedMarkovGame, initial: np.ndarray | None = None,
     steps: list[TraceStep] = []
     converged = False
 
-    # The deterministic-modification family does not depend on the policy;
-    # enumerate and stack it once per player.
-    families = []
-    for i in range(game.num_players):
-        mods, identity_index = enumerate_det_modifications(game, i, cap=cap)
-        families.append((mods, identity_index, np.stack([mod.tables for mod in mods])))
-
-    # Each player's last optimal basis starts the next iteration's program:
-    # the columns stay, only their values move with the damped step.
-    bases = [None] * game.num_players
+    # The identity's pair columns x_t((s, r), r), one per flow row, start each
+    # player's first program; its last optimal basis starts every later one.
+    starts = [tuple(c * ai + c % ai for c in range(game.horizon * game.num_states * ai))
+              for ai in game.action_counts]
 
     for it in range(max_iters):
         policy = occupancy_to_policy(game, d)
-        occ_pi = compute_occupancy(game, policy)
-        reward_values = evaluate(game, occ_pi).reward
+        values = evaluate(game, compute_occupancy(game, policy))
         gaps = np.empty(game.num_players)
-        per_player = []
+        optima = []
         for i in range(game.num_players):
-            mods, identity_index, tables = families[i]
-            vals = lpmod.modification_values(game, i, policy, mods=mods,
-                                             identity_index=identity_index, tables=tables)
-            program = lpmod.build_best_modification_lp(vals)
-            if bases[i] is not None:
-                program = replace(program, start=bases[i])
-            sol = lpmod.solve_lp(program)
+            program = _floored_pair_program(game, i, policy, values.constraint[i])
+            sol = lpmod.solve_lp(replace(program, start=starts[i]))
             lpmod.require_optimal(sol.status, "best-modification program mid-search")
-            bases[i] = sol.basis
-            gaps[i] = sol.objective - reward_values[i]
-            per_player.append((sol.x, vals.occupancies))
+            starts[i] = sol.basis or starts[i]
+            gaps[i] = sol.objective - values.reward[i]
+            optima.append(sol.x)
         if gaps.max() <= tol:
             converged = True
             break
         chosen = int(np.argmax(gaps)) if player_rule == "max-gap" else it % game.num_players
-        alpha, occupancies = per_player[chosen]
-        mixed = lpmod.mix_occupancies(alpha, occupancies)
         lam = max(float(gaps[chosen]), 0.0) / two_h
-        d = (1.0 - lam) * d + lam * mixed
+        d = (1.0 - lam) * d + lam * pair_to_game_occupancy(game, chosen, policy, optima[chosen])
         steps.append(TraceStep(iteration=it, gaps=gaps, chosen_player=chosen,
                                step_size=lam, min_slack=_min_slack(game, d)))
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .aux_mdps import build_mdp2, lift_reward
+from .aux_mdps import build_mdp2, lift_signals
 from .dynamics import flow_rows, propagate
 from .game import ConstrainedMarkovGame
 from .modifications import (
@@ -307,20 +307,11 @@ def batch_modified_occupancies(game: ConstrainedMarkovGame, player: int,
 
 
 def modification_values(game: ConstrainedMarkovGame, player: int, policy: np.ndarray,
-                        cap: int = DEFAULT_ENUM_CAP,
-                        mods: list[MarkovModification] | None = None,
-                        identity_index: int | None = None,
-                        tables: np.ndarray | None = None) -> ModificationValues:
-    """Values of every deterministic modification of ``player`` under ``policy``.
-
-    ``mods`` and ``identity_index`` default to a fresh enumeration; ``tables``
-    is their (K, H, S, A_i, A_i) block, for callers that keep it across calls.
-    """
-    if mods is None:
-        mods, identity_index = enumerate_det_modifications(game, player, cap=cap)
-    if tables is None:
-        tables = np.stack([mod.tables for mod in mods])
-    occs = batch_modified_occupancies(game, player, policy, tables)
+                        cap: int = DEFAULT_ENUM_CAP) -> ModificationValues:
+    """Values of every deterministic modification of ``player`` under ``policy``."""
+    mods, identity_index = enumerate_det_modifications(game, player, cap=cap)
+    occs = batch_modified_occupancies(game, player, policy,
+                                      np.stack([mod.tables for mod in mods]))
     flat = occs.reshape(len(mods), -1)
     reward = flat @ game.rewards[player].reshape(-1)
     j = game.num_constraints
@@ -342,7 +333,6 @@ def build_best_modification_lp(vals: ModificationValues) -> LinearProgram:
     policy that vertex is feasible and the solver skips phase 1.  Phase 1
     still runs when the policy is not i-feasible (possible in playerwise
     mode, or beyond LP_TOL after roundoff) or the start basis is singular.
-    find_cce replaces this start by the previous iteration's optimal basis.
     """
     return LinearProgram.build(
         c=vals.reward,
@@ -364,9 +354,9 @@ def best_feasible_modification(game: ConstrainedMarkovGame, player: int,
     """Psi^i(pi) and one optimal weight vector (the Bland-rule vertex).
 
     This is the alpha-level program over the enumerated deterministic
-    family, K^i variables.  verify_cce takes Psi^i from the polynomial
-    pair-MDP program (build_pair_occupancy_lp) instead; this one is kept
-    for the paper's claims about alpha vectors and as the oracle for it.
+    family, K^i variables.  verify_cce and find_cce take Psi^i from the
+    polynomial pair-MDP program (build_pair_occupancy_lp) instead; this one
+    is kept for the paper's claims about alpha vectors and as its oracle.
     Infeasible status is possible in playerwise mode when the policy itself
     is not i-feasible; for a feasible policy the identity weight vector is
     always feasible.
@@ -396,17 +386,11 @@ def build_pair_occupancy_lp(game: ConstrainedMarkovGame, player: int,
     h, n, ai = game.horizon, mdp.num_states[0], mdp.num_actions
     kernel = np.array([k[:n, :, :n] for k in mdp.kernels]).reshape(h - 1, n, ai, n)
     a_eq, b_eq = flow_rows(kernel, mdp.rho[:n])
-
-    def lifted(signal):
-        tables = lift_reward(game, player, policy, signal).tables
-        return np.concatenate([table[:-1].reshape(-1) for table in tables])
-
     j = game.num_constraints
-    return LinearProgram.build(
-        c=lifted(game.rewards[player]),
-        a_ub=np.array([lifted(game.constraint_table(player, k)) for k in range(j)]),
-        b_ub=[game.threshold(player, k) for k in range(j)],
-        a_eq=a_eq, b_eq=b_eq)
+    signals = np.stack([game.rewards[player]] + [game.constraint_table(player, k) for k in range(j)])
+    lifted = lift_signals(game, player, policy, signals).reshape(j + 1, -1)
+    return LinearProgram.build(c=lifted[0], a_ub=lifted[1:], a_eq=a_eq, b_eq=b_eq,
+                               b_ub=[game.threshold(player, k) for k in range(j)])
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ with the history key added in the non-Markov case.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -105,7 +106,7 @@ def split_player_axis(game: ConstrainedMarkovGame, arr: np.ndarray, player: int,
     even of a strided slice, so writes through it reach ``arr``.
     """
     counts = game.action_counts
-    split = (int(np.prod(counts[:player])), counts[player], int(np.prod(counts[player + 1:])))
+    split = (math.prod(counts[:player]), counts[player], math.prod(counts[player + 1:]))
     axis %= arr.ndim
     return arr.reshape(arr.shape[:axis] + split + arr.shape[axis + 1:])
 

@@ -1,5 +1,6 @@
 """CLI subcommands: exit codes, JSON reports, determinism."""
 
+import argparse
 import json
 from pathlib import Path
 
@@ -7,7 +8,9 @@ import numpy as np
 import pytest
 
 import cmgames as cm
-from cmgames.cli import main
+from cmgames.cli import build_parser, main
+from cmgames.modifications import DEFAULT_ENUM_CAP, count_det_modifications
+from oracles import random_game
 
 
 def run(capsys, *argv):
@@ -110,6 +113,30 @@ def test_verify_policy_feasible_within_tol(capsys, tmp_path, paths):
 def test_verify_takes_no_cap(capsys, paths):
     with pytest.raises(SystemExit):
         main(["verify", paths["example2.game"], paths["uniform.policy"], "--cap", "10"])
+
+
+def test_find_takes_no_cap(capsys, paths):
+    with pytest.raises(SystemExit):
+        main(["find", paths["example2.game"], "--cap", "10"])
+
+
+def test_find_past_the_enumeration_cap_exits_with_verdict(capsys, tmp_path):
+    game = random_game(np.random.default_rng(12), num_states=3, horizon=2, action_counts=(3, 2))
+    assert count_det_modifications(game, 0) > DEFAULT_ENUM_CAP
+    path = tmp_path / "wide.game"
+    cm.save_game(game, path)
+    code, rep = run(capsys, "find", str(path), "--max-iters", "20", "--json")
+    assert code == (0 if rep["results"]["certificate"]["verdict"] == "constrained_CE" else 3)
+    assert "cap" not in rep["parameters"]
+
+
+def test_settable_option_count():
+    # Every option a user can set, across the subcommands; a new knob is a test edit.
+    (subparsers,) = [a for a in build_parser()._actions
+                     if isinstance(a, argparse._SubParsersAction)]
+    options = [a for sub in subparsers.choices.values() for a in sub._actions
+               if a.option_strings and not isinstance(a, argparse._HelpAction)]
+    assert len(options) == 22
 
 
 def test_find_example2(capsys, paths):

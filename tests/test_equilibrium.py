@@ -9,6 +9,7 @@ import cmgames as cm
 from cmgames.equilibrium import NoFeasibleStartError
 from cmgames.game import COMMON
 from cmgames.lp import modification_values
+from cmgames.modifications import DEFAULT_ENUM_CAP, count_det_modifications
 from oracles import random_game, random_markov_mod, random_policy
 
 
@@ -377,3 +378,12 @@ def test_find_certifies_last_iterate_of_pivot_limit_game():
         ref = linprog(-lp.c, A_ub=-lp.a_ub, b_ub=-np.minimum(lp.b_ub, values.constraint[i]),
                       A_eq=lp.a_eq, b_eq=lp.b_eq, bounds=(0, None), method="highs")
         assert ref.status == 0 and cert.psi[i] == pytest.approx(-ref.fun, abs=1e-9)
+
+
+def test_find_runs_past_the_enumeration_cap():
+    # K^0 = 3^18: find solves pair programs and enumerates nothing.
+    game = random_game(np.random.default_rng(12), num_states=3, horizon=2, action_counts=(3, 2))
+    assert count_det_modifications(game, 0) > DEFAULT_ENUM_CAP
+    result = cm.find_cce(game, max_iters=20, tol=1e-6)
+    assert result.certificate.verdict in ("constrained_CE", "not_CE")
+    assert result.certificate.verdict == cm.verify_cce(game, result.policy, tol=1e-6).verdict

@@ -3,8 +3,9 @@
 A program's ``start`` skips phase 1 only when its basis is nonsingular and
 feasible; every other start must give exactly the two-phase result.  The
 best-modification programs start at the identity modification, so at an
-i-feasible policy they take phase 2 alone; inside find_cce each later
-program starts at the player's previous optimal basis.
+i-feasible policy they take phase 2 alone; find_cce's pair programs start
+at the identity's pair columns and later at the player's previous optimal
+basis.
 """
 
 import dataclasses
@@ -15,8 +16,10 @@ import pytest
 
 import cmgames as cm
 import cmgames.lp as lpmod
+from cmgames.dynamics import slacks_of
 from cmgames.game import COMMON, PLAYERWISE
 from cmgames.lp import LP_TOL, LinearProgram, solve_lp
+from cmgames.modifications import count_det_modifications
 from oracles import bfs_lp_oracle, random_game, random_policy
 
 
@@ -317,33 +320,39 @@ def _find_games():
 
 
 def test_find_cce_warm_starts_match_identity_starts(monkeypatch):
-    """Every best-modification program find_cce solves, re-solved from the identity."""
-    built, solved = [], []
-    real_build, real_solve = lpmod.build_best_modification_lp, lpmod.solve_lp
+    """Every pair program find_cce solves from a start, re-solved without one.
 
-    def recording_build(vals):
-        built.append(real_build(vals))
-        return built[-1]
+    Where the iterate is feasible the floors are inactive, so the pair
+    program's optimum is also the enumerated alpha-program's Psi^i.
+    """
+    built, solved = [], []
+    real_build, real_solve = lpmod.build_pair_occupancy_lp, lpmod.solve_lp
+
+    def recording_build(game, player, policy):
+        built.append((game, player, policy))
+        return real_build(game, player, policy)
 
     def recording_solve(lp):
         sol = real_solve(lp)
-        if lp.start is not None:             # the feasible-start and Psi programs have none
-            solved.append((lp, sol))
+        if lp.start is not None:             # the feasible-start and final Psi programs have none
+            solved.append((built[-1], lp, sol))
         return sol
 
-    monkeypatch.setattr(lpmod, "build_best_modification_lp", recording_build)
+    monkeypatch.setattr(lpmod, "build_pair_occupancy_lp", recording_build)
     monkeypatch.setattr(lpmod, "solve_lp", recording_solve)
     for game in _find_games():
         cm.find_cce(game, max_iters=20, tol=1e-6)
     monkeypatch.undo()
 
-    assert len(built) == len(solved)
-    warm = 0
-    for identity, (lp, sol) in zip(built, solved):
-        assert np.array_equal(lp.c, identity.c) and np.array_equal(lp.a_ub, identity.a_ub)
-        assert np.array_equal(lp.b_ub, identity.b_ub)
-        warm += lp.start != identity.start
-        ref = solve_lp(identity)
+    warm = feasible = 0
+    for (game, player, policy), lp, sol in solved:
+        warm += len(lp.start) > lp.a_eq.shape[0]   # a whole previous basis, not the identity's
+        ref = solve_lp(dataclasses.replace(lp, start=None))
         assert sol.status == ref.status
         assert abs(sol.objective - ref.objective) <= 1e-12
-    assert warm >= 100
+        if slacks_of(game, cm.compute_occupancy(game, policy)).min() >= 0.0:
+            assert count_det_modifications(game, player) <= 256
+            best = lpmod.best_feasible_modification(game, player, policy)
+            assert abs(best.psi - sol.objective) <= 1e-9
+            feasible += 1
+    assert warm >= 100 and feasible >= 100

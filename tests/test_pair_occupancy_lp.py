@@ -4,14 +4,15 @@ import numpy as np
 import pytest
 
 import cmgames as cm
-from cmgames.equilibrium import BOUNDARY_TOL, feasible_occupancy
+from cmgames.aux_mdps import mdp_policy_from_modification, pair_to_game_occupancy
+from cmgames.equilibrium import BOUNDARY_TOL, _floored_pair_program, feasible_occupancy
 from cmgames.lp import (
     best_feasible_modification,
     build_pair_occupancy_lp,
     solve_lp,
 )
 from cmgames.modifications import DEFAULT_ENUM_CAP, count_det_modifications
-from oracles import best_markov_modification, random_game, random_policy
+from oracles import best_markov_modification, random_game, random_markov_mod, random_policy
 
 # (|S|, H, action counts): H = 1..3, a three-action player, three players and
 # single-action players; every family stays small enough to enumerate.
@@ -112,3 +113,58 @@ def test_pair_program_matches_highs(shape):
                 assert sol.status == status
                 if status == "optimal":
                     assert sol.objective == pytest.approx(objective, abs=1e-9)
+
+
+# --- Reading a pair occupancy back as a game occupancy --------------------------
+
+# H = 1..3; the middle player of three; a single-action player on either side.
+READBACK_SHAPES = [
+    (2, 1, (2, 2)),
+    (2, 2, (3, 2)),
+    (2, 3, (2, 2)),
+    (1, 3, (3, 2)),
+    (2, 2, (2, 2, 2)),
+    (2, 2, (2, 1)),
+    (1, 3, (1, 3)),
+]
+
+
+def _seed(shape, base):
+    num_states, horizon, counts = shape
+    return base + 100 * len(counts) + 10 * num_states + horizon + sum(counts)
+
+
+@pytest.mark.parametrize("shape", READBACK_SHAPES, ids=_shape_id)
+def test_read_back_of_a_modification_is_its_game_occupancy(shape):
+    num_states, horizon, counts = shape
+    rng = np.random.default_rng(_seed(shape, 3000))
+    for _ in range(3):
+        game = random_game(rng, num_states, horizon, counts, j=1)
+        policy = random_policy(rng, game)
+        for player, ai in enumerate(counts):
+            mod = random_markov_mod(rng, game, player)
+            mdp = cm.build_mdp2(game, player, policy)
+            occ = cm.aux_occupancy(mdp, mdp_policy_from_modification(mdp, game, mod))
+            pair = np.stack([o[:-1] for o in occ]).reshape(horizon, num_states, ai, ai)
+            want = cm.compute_occupancy(game, cm.apply_modification(game, policy, mod))
+            got = pair_to_game_occupancy(game, player, policy, pair)
+            assert np.abs(got - want).max() <= 1e-12
+
+
+@pytest.mark.parametrize("mode", ["common", "playerwise"])
+@pytest.mark.parametrize("shape", READBACK_SHAPES, ids=_shape_id)
+def test_read_back_of_the_floored_optimum_meets_its_values(shape, mode):
+    """The step target of find_cce: V^{r^i} is the objective, every floored threshold is met."""
+    num_states, horizon, counts = shape
+    rng = np.random.default_rng(_seed(shape, 4000))
+    for _ in range(2):
+        game = random_game(rng, num_states, horizon, counts, j=2, mode=mode)
+        for policy in _policies(game, rng):
+            constraint = cm.evaluate(game, cm.compute_occupancy(game, policy)).constraint
+            for player in range(game.num_players):
+                lp = _floored_pair_program(game, player, policy, constraint[player])
+                sol = solve_lp(lp)
+                assert sol.status == "optimal"   # the floors keep the identity feasible
+                values = cm.evaluate(game, pair_to_game_occupancy(game, player, policy, sol.x))
+                assert abs(values.reward[player] - sol.objective) <= 1e-9
+                assert np.all(values.constraint[player] >= lp.b_ub - 1e-9)
