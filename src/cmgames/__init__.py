@@ -50,8 +50,6 @@ from .lp import (
     LinearProgram,
     LPSolution,
     NumericalLPError,
-    best_feasible_modification,
-    build_best_modification_lp,
     build_pair_occupancy_lp,
     check_lp_regularity,
     hull_membership,

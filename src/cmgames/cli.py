@@ -34,6 +34,7 @@ from .equilibrium import (
     NoFeasibleStartError,
     check_strong_slater_at,
     check_weak_slater_at,
+    dirichlet_policy,
     find_cce,
     slater_sampling_harness,
     verify_cce,
@@ -49,11 +50,13 @@ from .game import (
     validate_game,
 )
 from .lp import (
+    OPTIMAL,
     NumericalLPError,
-    best_feasible_modification,
+    build_pair_occupancy_lp,
     check_lp_regularity,
     mix_occupancies,
     modification_values,
+    solve_lp,
 )
 from .modifications import (
     DEFAULT_ENUM_CAP,
@@ -212,12 +215,6 @@ def cmd_reproduce_paper(args) -> int:
 # backward induction)
 # ---------------------------------------------------------------------------
 
-def _random_policy(game, rng) -> np.ndarray:
-    a = game.num_joint_actions
-    return rng.dirichlet(np.ones(a), size=(game.horizon, game.num_states)).reshape(
-        game.horizon, game.num_states, a)
-
-
 def _random_nonmarkov(game, player, rng) -> NonMarkovModification:
     ai = game.action_counts[player]
     sa = game.num_states * game.num_joint_actions
@@ -248,7 +245,7 @@ def equivalence_suite(game, player: int, samples: int, seed: int,
         rows.append({"player": player, "name": name, "passed": bool(ok), "detail": detail})
 
     for k in range(samples):
-        policy = _random_policy(game, rng)
+        policy = dirichlet_policy(game, rng)
 
         mdp1 = build_mdp1(game, player, policy, history_cap=history_cap)
         mdp2 = build_mdp2(game, player, policy)
@@ -326,9 +323,9 @@ def example_assertions(seed: int):
         return ok, f"composed {out[0, 0].tolist()}"
 
     def e1_psi2():
-        best = best_feasible_modification(e1, 1, pi_mixed)
-        ok = best.status == "optimal" and close(best.psi, 5.0 / 6.0)
-        return ok, f"psi2 = {best.psi!r}"
+        sol = solve_lp(build_pair_occupancy_lp(e1, 1, pi_mixed))
+        ok = sol.status == OPTIMAL and close(sol.objective, 5.0 / 6.0)
+        return ok, f"psi2 = {sol.objective!r}"
 
     def e1_not_ce():
         cert = verify_cce(e1, pi_mixed)
@@ -376,10 +373,10 @@ def example_assertions(seed: int):
         return len(vals.mods) == 4, f"K = {len(vals.mods)}"
 
     def e2_psi1():
-        best = best_feasible_modification(e2, 0, uniform2)
+        sol = solve_lp(build_pair_occupancy_lp(e2, 0, uniform2))
         v = evaluate(e2, compute_occupancy(e2, uniform2)).reward[0]
-        ok = best.status == "optimal" and close(best.psi, 0.25) and close(v, 0.25)
-        return ok, f"psi1 = {best.psi!r}, V_r1 = {v!r}"
+        ok = sol.status == OPTIMAL and close(sol.objective, 0.25) and close(v, 0.25)
+        return ok, f"psi1 = {sol.objective!r}, V_r1 = {v!r}"
 
     def e2_uniform_mixture():
         vals = modification_values(e2, 0, uniform2)

@@ -119,9 +119,6 @@ class FeasibilityReport:
     def feasible(self) -> bool:
         return bool(self.slacks.size == 0 or self.slacks.min() >= -self.tol)
 
-    def min_slack(self) -> float:
-        return float(self.slacks.min()) if self.slacks.size else np.inf
-
 
 def slacks_of(game: ConstrainedMarkovGame, occupancy: np.ndarray) -> np.ndarray:
     """Slack matrix (N, J) for an occupancy measure."""

@@ -13,8 +13,8 @@ stochastic Markov modifications are the convex hull of the deterministic
 ones (in occupancy), and by the modification-class equivalences the
 certificate covers the full history-dependent stochastic class as well.
 The fixed-point search steps along the same program's optima, so it
-enumerates nothing either; the Slater checks still work over the
-enumerated family, whose weight vectors they report.
+enumerates nothing either; the Slater checks and the regularity probe still
+solve their programs over weights on the enumerated family.
 """
 
 from __future__ import annotations
@@ -244,7 +244,8 @@ class SlaterReport:
         }
 
 
-def _dirichlet_policy(game: ConstrainedMarkovGame, rng: np.random.Generator) -> np.ndarray:
+def dirichlet_policy(game: ConstrainedMarkovGame, rng: np.random.Generator) -> np.ndarray:
+    """A policy whose (t, s) rows are drawn from Dirichlet(1), row-major over (t, s)."""
     a = game.num_joint_actions
     rows = rng.dirichlet(np.ones(a), size=game.horizon * game.num_states)
     return rows.reshape(game.horizon, game.num_states, a)
@@ -279,7 +280,7 @@ def slater_sampling_harness(game: ConstrainedMarkovGame, mode: str, num_samples:
 
     if mode == "strong":
         for k in range(num_samples):
-            policy = _dirichlet_policy(game, rng)
+            policy = dirichlet_policy(game, rng)
             tested += 1
             per_player = []
             for i in range(game.num_players):
@@ -300,7 +301,7 @@ def slater_sampling_harness(game: ConstrainedMarkovGame, mode: str, num_samples:
         else:
             anchor = occupancy_to_policy(game, anchor_occ)
             for k in range(num_samples):
-                sample = _dirichlet_policy(game, rng)
+                sample = dirichlet_policy(game, rng)
                 boundary = _boundary_policy(game, anchor, sample)
                 if boundary is None:
                     not_applicable += 1
@@ -457,10 +458,14 @@ def find_cce(game: ConstrainedMarkovGame, initial: np.ndarray | None = None,
     steps: list[TraceStep] = []
     converged = False
 
-    # The identity's pair columns x_t((s, r), r), one per flow row, start each
-    # player's first program; its last optimal basis starts every later one.
-    starts = [tuple(c * ai + c % ai for c in range(game.horizon * game.num_states * ai))
-              for ai in game.action_counts]
+    # The identity's pair columns x_t((s, r), r), one per flow row, and the
+    # surplus column of every constraint row start each player's first
+    # program; its last optimal basis starts every later one.
+    starts = []
+    for ai in game.action_counts:
+        cells = game.horizon * game.num_states * ai
+        starts.append(tuple(c * ai + c % ai for c in range(cells))
+                      + tuple(range(cells * ai, cells * ai + game.num_constraints)))
 
     for it in range(max_iters):
         policy = occupancy_to_policy(game, d)

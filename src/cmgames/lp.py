@@ -3,14 +3,12 @@
 The solver handles   max c.x  s.t.  A_ub x >= b_ub,  A_eq x = b_eq,  x >= 0
 with Bland's rule throughout, so it terminates on degenerate problems and
 always returns the same vertex for the same input.  An optimal solution
-carries its final basis, and a program may name a starting basis: either
-that whole basis, or one structural column per equality row, completed by
-the surplus column of every >= row.  When the basis is nonsingular and
-primal feasible, phase 1 is skipped and phase 2 starts from it; otherwise
-the solver runs both phases exactly as without a start.  So a sequence of
-related programs can each start from the previous one's optimum.
-Everything downstream (the pair-MDP occupancy program behind Psi^i,
-best-feasible-modification programs, hull membership, max-min slack
+carries its final basis, and a program may name a whole starting basis, one
+column per row.  When that basis is nonsingular and primal feasible, phase 1
+is skipped and phase 2 starts from it; otherwise the solver runs both
+phases exactly as without a start.  So a sequence of related programs can
+each start from the previous one's optimum.  Everything downstream (the
+pair-MDP occupancy program behind Psi^i, hull membership, max-min slack
 programs, regularity probes) reduces to this form.
 """
 
@@ -59,11 +57,9 @@ class LinearProgram:
     """max c.x with A_ub x >= b_ub, A_eq x = b_eq and x >= 0 componentwise.
 
     ``start`` optionally names the basis phase 2 starts from, provided it is
-    nonsingular and primal feasible.  Columns are numbered as in
-    ``LPSolution.basis``: structural 0..n-1, then the surplus column of >= row
-    r as n + r.  The short form gives one structural column per equality
-    row and is completed by every surplus column; the whole form gives all
-    m_ub + m_eq columns, as ``LPSolution.basis`` returns them.
+    nonsingular and primal feasible: one column per row, m_ub + m_eq in all,
+    as ``LPSolution.basis`` returns them.  Columns are numbered structural
+    0..n-1, then the surplus column of >= row r as n + r.
     """
 
     c: np.ndarray
@@ -88,12 +84,9 @@ class LinearProgram:
             raise ValueError("linear program has non-finite coefficients")
         if start is not None:
             start = tuple(operator.index(j) for j in start)
-            m_ub, m_eq = a_ub.shape[0], a_eq.shape[0]
-            if len(start) not in (m_eq, m_ub + m_eq):
-                raise ValueError("start needs one column per equality row, "
-                                 "or one per row for a whole basis")
-            width = n if len(start) == m_eq else n + m_ub
-            if any(not 0 <= j < width for j in start):
+            if len(start) != a_ub.shape[0] + a_eq.shape[0]:
+                raise ValueError("start needs one column per equality row and one per >= row")
+            if any(not 0 <= j < n + a_ub.shape[0] for j in start):
                 raise ValueError("start names a column outside the program")
             if len(set(start)) != len(start):
                 raise ValueError("start repeats a column")
@@ -156,13 +149,13 @@ def _bland_pivots(a: np.ndarray, b: np.ndarray, cost: np.ndarray,
 def solve_lp(lp: LinearProgram) -> LPSolution:
     """Two-phase dense simplex with Bland's rule; statuses, never exceptions.
 
-    A program with a ``start`` whose basis is nonsingular and feasible
-    within LP_TOL * max(1, max|b|) goes straight to phase 2 from that
-    basis; any other start is ignored and both phases run.  Re-solving a
-    program from its own optimal ``basis`` makes no pivot.  A singular
-    basis, the pivot limit, or a phase 1 that does not end optimal (its
-    objective is bounded below by 0) is reported as NUMERICAL: roundoff
-    decided the outcome, not the program.
+    A program whose ``start`` basis is nonsingular and feasible within
+    LP_TOL * max(1, max|b|) goes straight to phase 2 from it; any other
+    start is ignored and both phases run.  Re-solving a program from its
+    own optimal ``basis`` makes no pivot.  A singular basis, the pivot
+    limit, or a phase 1 that does not end optimal (its objective is bounded
+    below by 0) is reported as NUMERICAL: roundoff decided the outcome, not
+    the program.
     """
     try:
         return _two_phase(lp)
@@ -170,18 +163,15 @@ def solve_lp(lp: LinearProgram) -> LPSolution:
         return LPSolution(status=NUMERICAL, x=None, objective=None)
 
 
-def _start_basis(a: np.ndarray, b: np.ndarray, n: int, m_ub: int,
-                 start: tuple[int, ...] | None, feas_tol: float) -> np.ndarray | None:
-    """The start's basis, completed by every surplus column if it is short.
-
-    None when there is no start, its basis is singular, or some basic
-    variable is below -feas_tol; the caller then runs phase 1.
+def _start_basis(a: np.ndarray, b: np.ndarray, start: tuple[int, ...] | None,
+                 feas_tol: float) -> np.ndarray | None:
+    """The start's basis; None when there is no start, its basis is
+    singular, or some basic variable is below -feas_tol, and the caller
+    then runs phase 1.
     """
     if start is None:
         return None
     basis = np.asarray(start, dtype=np.intp)
-    if basis.size < a.shape[0]:
-        basis = np.concatenate([basis, n + np.arange(m_ub)])
     try:
         x_b = np.linalg.solve(a[:, basis], b)
     except np.linalg.LinAlgError:
@@ -250,7 +240,7 @@ def _two_phase(lp: LinearProgram) -> LPSolution:
         return LPSolution(status=OPTIMAL, x=np.zeros(n), objective=0.0, basis=())
 
     feas_tol = LP_TOL * max(1.0, float(np.abs(b).max(initial=0.0)))
-    basis = _start_basis(a, b, n, m_ub, lp.start, feas_tol)
+    basis = _start_basis(a, b, lp.start, feas_tol)
     if basis is None:
         status, a, b, basis = _phase_one(a, b, feas_tol)
         if status != OPTIMAL:
@@ -281,7 +271,6 @@ class ModificationValues:
 
     player: int
     mods: list[MarkovModification]
-    identity_index: int
     occupancies: np.ndarray   # (K, H, S, A)
     reward: np.ndarray        # (K,)  V^{r^i}(phi(k) o pi)
     constraint: np.ndarray    # (J, K) rows use g^{i,j} (playerwise) or g^j (common)
@@ -309,7 +298,7 @@ def batch_modified_occupancies(game: ConstrainedMarkovGame, player: int,
 def modification_values(game: ConstrainedMarkovGame, player: int, policy: np.ndarray,
                         cap: int = DEFAULT_ENUM_CAP) -> ModificationValues:
     """Values of every deterministic modification of ``player`` under ``policy``."""
-    mods, identity_index = enumerate_det_modifications(game, player, cap=cap)
+    mods, _ = enumerate_det_modifications(game, player, cap=cap)
     occs = batch_modified_occupancies(game, player, policy,
                                       np.stack([mod.tables for mod in mods]))
     flat = occs.reshape(len(mods), -1)
@@ -320,51 +309,8 @@ def modification_values(game: ConstrainedMarkovGame, player: int, policy: np.nda
     for idx in range(j):
         constraint[idx] = flat @ game.constraint_table(player, idx).reshape(-1)
         thresholds[idx] = game.threshold(player, idx)
-    return ModificationValues(player=player, mods=mods, identity_index=identity_index,
-                              occupancies=occs, reward=reward,
+    return ModificationValues(player=player, mods=mods, occupancies=occs, reward=reward,
                               constraint=constraint, thresholds=thresholds)
-
-
-def build_best_modification_lp(vals: ModificationValues) -> LinearProgram:
-    """The program: max sum_k alpha_k V^{r^i}(phi(k) o pi) over i-feasible alpha.
-
-    It starts at the identity modification, alpha = e_identity: its value
-    under every constraint row is the policy's own, so at an i-feasible
-    policy that vertex is feasible and the solver skips phase 1.  Phase 1
-    still runs when the policy is not i-feasible (possible in playerwise
-    mode, or beyond LP_TOL after roundoff) or the start basis is singular.
-    """
-    return LinearProgram.build(
-        c=vals.reward,
-        a_ub=vals.constraint, b_ub=vals.thresholds,
-        a_eq=np.ones((1, len(vals.mods))), b_eq=[1.0],
-        start=(vals.identity_index,))
-
-
-@dataclass(frozen=True)
-class BestModification:
-    status: str
-    psi: float | None
-    alpha: np.ndarray | None
-
-
-def best_feasible_modification(game: ConstrainedMarkovGame, player: int,
-                               policy: np.ndarray,
-                               cap: int = DEFAULT_ENUM_CAP) -> BestModification:
-    """Psi^i(pi) and one optimal weight vector (the Bland-rule vertex).
-
-    This is the alpha-level program over the enumerated deterministic
-    family, K^i variables.  verify_cce and find_cce take Psi^i from the
-    polynomial pair-MDP program (build_pair_occupancy_lp) instead; this one
-    is kept for the paper's claims about alpha vectors and as its oracle.
-    Infeasible status is possible in playerwise mode when the policy itself
-    is not i-feasible; for a feasible policy the identity weight vector is
-    always feasible.
-    """
-    sol = solve_lp(build_best_modification_lp(modification_values(game, player, policy, cap=cap)))
-    if sol.status != OPTIMAL:
-        return BestModification(status=sol.status, psi=None, alpha=None)
-    return BestModification(status=OPTIMAL, psi=sol.objective, alpha=sol.x)
 
 
 # ---------------------------------------------------------------------------
@@ -493,7 +439,7 @@ def min_weight_feasible(constraint: np.ndarray, thresholds: np.ndarray,
 
 @dataclass(frozen=True)
 class LPRegularityReport:
-    """Per-policy regularity of the best-modification program.
+    """Per-policy regularity of the constraint rows over the deterministic family.
 
     strictly_feasible  — a weight vector with all slacks > 0 exists;
     constant_rows      — constraint rows that are constant across k (the

@@ -16,8 +16,18 @@ import numpy as np
 
 from cmgames.dynamics import normalize_or_uniform
 from cmgames.game import COMMON, ConstrainedMarkovGame
-from cmgames.lp import OPTIMAL, build_pair_occupancy_lp, solve_lp
-from cmgames.modifications import MarkovModification, NonMarkovModification
+from cmgames.lp import (
+    OPTIMAL,
+    LinearProgram,
+    build_pair_occupancy_lp,
+    modification_values,
+    solve_lp,
+)
+from cmgames.modifications import (
+    MarkovModification,
+    NonMarkovModification,
+    enumerate_det_modifications,
+)
 
 
 def all_paths(game):
@@ -262,7 +272,8 @@ def best_markov_modification(game, player, policy) -> BestMarkovModification:
     Stochastic Markov modifications are exactly the pair MDP's policies, and
     their pair occupancies form the polytope of the program, the convex hull
     of the deterministic modifications' occupancies; so the optimum equals
-    best_feasible_modification's without enumerating K^i modifications.
+    the alpha-program's (best_feasible_modification) without enumerating
+    K^i modifications.
     The modification is read back from x per (t, s, r) cell, uniform where
     the cell is unreachable, so apply_modification can check Psi^i and the
     constraints independently.
@@ -275,3 +286,40 @@ def best_markov_modification(game, player, policy) -> BestMarkovModification:
     return BestMarkovModification(
         status=OPTIMAL, psi=sol.objective,
         modification=MarkovModification(player=player, tables=normalize_or_uniform(cells)))
+
+
+def build_best_modification_lp(game, player, policy) -> LinearProgram:
+    """The alpha-program: max sum_k alpha_k V^{r^i}(phi(k) o pi) over i-feasible alpha.
+
+    One weight per enumerated deterministic modification, K^i variables.
+    It starts at the identity modification's vertex, alpha = e_identity,
+    with the surplus column of every constraint row basic: at an i-feasible
+    policy that basis is feasible and the solver skips phase 1.
+    """
+    vals = modification_values(game, player, policy)
+    _, identity = enumerate_det_modifications(game, player)
+    k, j = len(vals.mods), vals.constraint.shape[0]
+    return LinearProgram.build(
+        c=vals.reward,
+        a_ub=vals.constraint, b_ub=vals.thresholds,
+        a_eq=np.ones((1, k)), b_eq=[1.0],
+        start=(identity,) + tuple(range(k, k + j)))
+
+
+@dataclass(frozen=True)
+class BestModification:
+    status: str
+    psi: float | None
+    alpha: np.ndarray | None
+
+
+def best_feasible_modification(game, player, policy) -> BestModification:
+    """Psi^i(pi) from the alpha-program, with its optimal weight vector (the Bland-rule vertex).
+
+    Infeasible in playerwise mode when the policy itself is not i-feasible;
+    at a feasible policy the identity weight vector is always feasible.
+    """
+    sol = solve_lp(build_best_modification_lp(game, player, policy))
+    if sol.status != OPTIMAL:
+        return BestModification(status=sol.status, psi=None, alpha=None)
+    return BestModification(status=OPTIMAL, psi=sol.objective, alpha=sol.x)

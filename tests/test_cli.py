@@ -194,6 +194,15 @@ def test_reproduce_paper_byte_identical(capsys):
     assert json.loads(first)["seed"] == 0
 
 
+def test_reproduce_paper_psi_details(capsys):
+    """The two Psi rows print exactly these values (the report's bytes depend on them)."""
+    code, rep = run(capsys, "reproduce-paper", "--json", "--seed", "0")
+    details = {row["name"]: row["detail"] for row in rep["results"]["assertions"]}
+    assert code == 0
+    assert details["best_feasible_psi2"] == "psi2 = 0.8333333333333333"
+    assert details["psi1_equals_reward"] == f"psi1 = 0.25, V_r1 = {np.float64(0.25)!r}"
+
+
 def test_slater_byte_identical(capsys, paths):
     main(["slater", paths["example1.game"], "--mode", "strong",
           "--samples", "15", "--seed", "11", "--json"])

@@ -165,7 +165,7 @@ def test_strong_slater_trivial_thresholds(example2):
     # identity weights are a valid strict witness
     vals = modification_values(game, 0, cm.uniform_policy(game))
     ident = np.zeros(len(vals.mods))
-    ident[vals.identity_index] = 1.0
+    ident[cm.enumerate_det_modifications(game, 0)[1]] = 1.0
     assert (vals.constraint @ ident - vals.thresholds).min() >= 1.0 - 1e-12
 
 

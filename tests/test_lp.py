@@ -12,7 +12,14 @@ from cmgames.lp import (
     modification_values,
     solve_lp,
 )
-from oracles import bfs_lp_oracle, min_weight_rows_oracle, random_game, random_policy
+from oracles import (
+    best_feasible_modification,
+    bfs_lp_oracle,
+    build_best_modification_lp,
+    min_weight_rows_oracle,
+    random_game,
+    random_policy,
+)
 
 
 def test_simplex_sanity():
@@ -97,7 +104,7 @@ def test_simplex_matches_bfs_enumeration(seed):
 def test_example2_lp_build():
     game = cm.load_game(cm.bundled_path("example2.game"))
     pol = cm.uniform_policy(game)
-    lp = cm.build_best_modification_lp(modification_values(game, 0, pol))
+    lp = build_best_modification_lp(game, 0, pol)
     assert lp.c.shape == (4,)
     assert lp.a_ub.shape == (4, 4)
     # canonical order [const-1, identity, swap, const-2]
@@ -109,7 +116,7 @@ def test_identity_only_action_set():
     rng = np.random.default_rng(2)
     game = random_game(rng, num_states=2, horizon=2, action_counts=(1, 2), j=1)
     pol = random_policy(rng, game)
-    best = cm.best_feasible_modification(game, 0, pol)
+    best = best_feasible_modification(game, 0, pol)
     v = cm.evaluate(game, cm.compute_occupancy(game, pol)).reward[0]
     assert best.status == "optimal"
     assert best.psi == pytest.approx(v, abs=1e-12)
@@ -119,7 +126,7 @@ def test_identity_only_action_set():
 def test_example1_psi2():
     game = cm.load_game(cm.bundled_path("example1.game"))
     pol = cm.load_policy(cm.bundled_path("example1_mixed.policy"), game)
-    best = cm.best_feasible_modification(game, 1, pol)
+    best = best_feasible_modification(game, 1, pol)
     assert best.status == "optimal"
     assert best.psi == pytest.approx(5 / 6, abs=1e-12)
     assert best.alpha.argmax() == 3   # const-2 in canonical order
@@ -130,7 +137,7 @@ def test_unconstrained_psi_is_max():
     game = random_game(rng, num_states=2, horizon=2, threshold_scale=0.0)
     pol = random_policy(rng, game)
     vals = modification_values(game, 0, pol)
-    best = cm.best_feasible_modification(game, 0, pol)
+    best = best_feasible_modification(game, 0, pol)
     assert best.psi == pytest.approx(float(vals.reward.max()), abs=1e-9)
 
 
@@ -143,7 +150,7 @@ def test_psi_bounds():
         occ = cm.compute_occupancy(game, pol)
         if cm.feasibility(game, pol).feasible:
             for i in range(2):
-                best = cm.best_feasible_modification(game, i, pol)
+                best = best_feasible_modification(game, i, pol)
                 v = cm.evaluate(game, occ).reward[i]
                 assert best.status == "optimal"
                 assert best.psi >= v - 1e-9          # identity is feasible
@@ -154,7 +161,7 @@ def test_playerwise_infeasible_status():
     game = cm.load_game(cm.bundled_path("example1.game"))
     pol = np.zeros((1, 1, 4))
     pol[0, 0, 3] = 1.0   # infeasible for both players; no feasible modification exists
-    best = cm.best_feasible_modification(game, 0, pol)
+    best = best_feasible_modification(game, 0, pol)
     assert best.status == "infeasible"
     assert best.psi is None
 
@@ -217,7 +224,7 @@ def test_optimal_alpha_mixture_stays_feasible():
     game = random_game(rng, num_states=2, horizon=2, threshold_scale=0.8)
     pol = cm.occupancy_to_policy(game, cm.feasible_occupancy(game))
     for i in range(2):
-        best = cm.best_feasible_modification(game, i, pol)
+        best = best_feasible_modification(game, i, pol)
         assert best.status == "optimal"
         vals = modification_values(game, i, pol)
         mixed = cm.mix_occupancies(best.alpha, vals.occupancies)
@@ -230,7 +237,7 @@ def test_example2_omega_mixture_is_uniform_occupancy():
     game = cm.load_game(cm.bundled_path("example2.game"))
     pol = cm.uniform_policy(game)
     vals = modification_values(game, 0, pol)
-    best = cm.best_feasible_modification(game, 0, pol)
+    best = best_feasible_modification(game, 0, pol)
     mixed = cm.mix_occupancies(best.alpha, vals.occupancies)
     assert np.abs(mixed - 0.25).max() <= 1e-9   # the unique feasible occupancy
     cons = vals.constraint @ np.full(4, 0.25)

@@ -1,11 +1,11 @@
 """Starting the simplex at a named basis: validation, fallback and differential checks.
 
-A program's ``start`` skips phase 1 only when its basis is nonsingular and
-feasible; every other start must give exactly the two-phase result.  The
-best-modification programs start at the identity modification, so at an
-i-feasible policy they take phase 2 alone; find_cce's pair programs start
-at the identity's pair columns and later at the player's previous optimal
-basis.
+A program's ``start`` is a whole basis, one column per row.  It skips phase
+1 only when that basis is nonsingular and feasible; every other start must
+give exactly the two-phase result.  The alpha-program oracle starts at the
+identity modification, so at an i-feasible policy it takes phase 2 alone;
+find_cce's pair programs start at the identity's pair columns and later at
+the player's previous optimal basis.
 """
 
 import dataclasses
@@ -20,7 +20,13 @@ from cmgames.dynamics import slacks_of
 from cmgames.game import COMMON, PLAYERWISE
 from cmgames.lp import LP_TOL, LinearProgram, solve_lp
 from cmgames.modifications import count_det_modifications
-from oracles import bfs_lp_oracle, random_game, random_policy
+from oracles import (
+    best_feasible_modification,
+    bfs_lp_oracle,
+    build_best_modification_lp,
+    random_game,
+    random_policy,
+)
 
 
 def _assert_feasible(lp, x):
@@ -34,7 +40,7 @@ def _assert_feasible(lp, x):
 
 def _start_is_feasible(lp):
     """Does an alpha-program's start, the vertex e_identity, meet every >= row?"""
-    (k,) = lp.start
+    k = lp.start[0]
     scale = LP_TOL * max(1.0, float(np.abs(np.concatenate([lp.b_ub, lp.b_eq])).max()))
     return (lp.a_ub[:, k] - lp.b_ub).min(initial=np.inf) >= -scale
 
@@ -67,8 +73,7 @@ def _alpha_programs():
                                        threshold_scale=scale)
                     for policy in _policies(rng, game):
                         for i in range(game.num_players):
-                            vals = lpmod.modification_values(game, i, policy)
-                            programs.append(lpmod.build_best_modification_lp(vals))
+                            programs.append(build_best_modification_lp(game, i, policy))
     return programs
 
 
@@ -127,9 +132,8 @@ def test_alpha_programs_match_highs():
             [(2, 2, (2, 2), 1), (2, 2, (2, 2), 3), (1, 2, (2, 2), 2), (1, 1, (3, 2), 2)]):
         rng = np.random.default_rng(7200 + seed)
         game = random_game(rng, num_states=states, horizon=horizon, action_counts=counts, j=j)
-        vals = lpmod.modification_values(game, 0, cm.occupancy_to_policy(
-            game, cm.feasible_occupancy(game)))
-        programs.append(lpmod.build_best_modification_lp(vals))
+        programs.append(build_best_modification_lp(game, 0, cm.occupancy_to_policy(
+            game, cm.feasible_occupancy(game))))
     assert max(lp.c.shape[0] for lp in programs) == 256
     for lp in programs:
         sol = solve_lp(lp)
@@ -140,7 +144,11 @@ def test_alpha_programs_match_highs():
 
 
 def _random_started_lp(rng):
-    """A bounded random program with 1-2 equality rows and a random distinct start."""
+    """A bounded random program with 1-2 equality rows.
+
+    Its start is a random set of distinct structural columns, one per
+    equality row, followed by every surplus column.
+    """
     n = int(rng.integers(3, 7))
     m_ub = int(rng.integers(0, 4))
     m_eq = int(rng.integers(1, 3))
@@ -149,7 +157,7 @@ def _random_started_lp(rng):
     return LinearProgram.build(
         c=rng.uniform(-1, 1, size=n), a_ub=a_ub, b_ub=b_ub,
         a_eq=rng.uniform(0.2, 1, size=(m_eq, n)), b_eq=rng.uniform(0.5, 1.5, size=m_eq),
-        start=tuple(rng.choice(n, size=m_eq, replace=False)))
+        start=tuple(rng.choice(n, size=m_eq, replace=False)) + tuple(range(n, n + m_ub + 1)))
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -195,7 +203,7 @@ def test_singular_start_falls_back_to_two_phase():
 def test_infeasible_start_falls_back_to_two_phase():
     # e_0 violates the >= row, so phase 1 runs; the optimum is x = (1/2, 1/2).
     lp = LinearProgram.build(c=[1.0, 0.5], a_ub=[[0.0, 1.0]], b_ub=[0.5],
-                             a_eq=[[1.0, 1.0]], b_eq=[1.0], start=(0,))
+                             a_eq=[[1.0, 1.0]], b_eq=[1.0], start=(0, 2))
     sol = solve_lp(lp)
     ref = solve_lp(dataclasses.replace(lp, start=None))
     assert sol.status == ref.status == "optimal"
@@ -203,7 +211,7 @@ def test_infeasible_start_falls_back_to_two_phase():
     assert sol.objective == pytest.approx(0.75, abs=1e-12)
 
 
-# --- The whole-basis form and LPSolution.basis ---------------------------------
+# --- Whole-basis validation and LPSolution.basis --------------------------------
 
 def _two_row_lp(start=None):
     """n = 3 structural columns, one >= row (surplus column 3), two equality rows."""
@@ -217,7 +225,6 @@ def _two_row_lp(start=None):
     ((0,), "one column per equality row"),
     ((0, 1, 4), "outside the program"),     # one past the last surplus column
     ((0, -1, 3), "outside the program"),
-    ((0, 3), "outside the program"),        # the short form names structural columns only
     ((0, 3, 3), "repeats"),
     ((0, 1, 3.0), "integer"),
 ])
@@ -319,12 +326,16 @@ def _find_games():
     yield cm.load_game(Path(__file__).parent / "data" / "find_singular_basis.game")
 
 
-def test_find_cce_warm_starts_match_identity_starts(monkeypatch):
-    """Every pair program find_cce solves from a start, re-solved without one.
+def _identity_start(game, player, lp):
+    """The identity modification's pair columns, one per flow row, then every surplus column."""
+    ai, n = game.action_counts[player], lp.c.shape[0]
+    return (tuple(c * ai + c % ai for c in range(lp.a_eq.shape[0]))
+            + tuple(range(n, n + lp.a_ub.shape[0])))
 
-    Where the iterate is feasible the floors are inactive, so the pair
-    program's optimum is also the enumerated alpha-program's Psi^i.
-    """
+
+@pytest.fixture(scope="module")
+def find_programs():
+    """((game, player, policy), program, solution) for every started program find_cce solves."""
     built, solved = [], []
     real_build, real_solve = lpmod.build_pair_occupancy_lp, lpmod.solve_lp
 
@@ -338,21 +349,56 @@ def test_find_cce_warm_starts_match_identity_starts(monkeypatch):
             solved.append((built[-1], lp, sol))
         return sol
 
-    monkeypatch.setattr(lpmod, "build_pair_occupancy_lp", recording_build)
-    monkeypatch.setattr(lpmod, "solve_lp", recording_solve)
-    for game in _find_games():
-        cm.find_cce(game, max_iters=20, tol=1e-6)
-    monkeypatch.undo()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lpmod, "build_pair_occupancy_lp", recording_build)
+        mp.setattr(lpmod, "solve_lp", recording_solve)
+        for game in _find_games():
+            cm.find_cce(game, max_iters=20, tol=1e-6)
+    return solved
 
+
+def _feasible(game, policy):
+    return slacks_of(game, cm.compute_occupancy(game, policy)).min() >= 0.0
+
+
+def test_find_cce_warm_starts_match_identity_starts(find_programs):
+    """Every pair program find_cce solves from a start, re-solved without one.
+
+    Each player's first program starts at the identity; later ones count as
+    warm when their start is any other basis.  Where the iterate is feasible
+    the floors are inactive, so the pair program's optimum is also the
+    enumerated alpha-program's Psi^i.
+    """
     warm = feasible = 0
-    for (game, player, policy), lp, sol in solved:
-        warm += len(lp.start) > lp.a_eq.shape[0]   # a whole previous basis, not the identity's
+    first = set()
+    for (game, player, policy), lp, sol in find_programs:
+        identity = _identity_start(game, player, lp)
+        if (id(game), player) not in first:
+            first.add((id(game), player))
+            assert lp.start == identity
+        warm += lp.start != identity
         ref = solve_lp(dataclasses.replace(lp, start=None))
         assert sol.status == ref.status
         assert abs(sol.objective - ref.objective) <= 1e-12
-        if slacks_of(game, cm.compute_occupancy(game, policy)).min() >= 0.0:
+        if _feasible(game, policy):
             assert count_det_modifications(game, player) <= 256
-            best = lpmod.best_feasible_modification(game, player, policy)
+            best = best_feasible_modification(game, player, policy)
             assert abs(best.psi - sol.objective) <= 1e-9
             feasible += 1
-    assert warm >= 100 and feasible >= 100
+    assert len(first) == 14 and warm >= 100 and feasible >= 100
+
+
+def test_identity_start_skips_phase_one_on_find_programs(find_programs, monkeypatch):
+    """At a feasible iterate the identity's whole basis is feasible: phase 2 only."""
+    calls = _recording_pivots(monkeypatch)
+    checked = 0
+    for (game, player, policy), lp, sol in find_programs:
+        if not _feasible(game, policy):
+            continue
+        calls.clear()
+        again = solve_lp(dataclasses.replace(lp, start=_identity_start(game, player, lp)))
+        assert len(calls) == 1
+        assert again.status == "optimal"
+        assert abs(again.objective - sol.objective) <= 1e-12
+        checked += 1
+    assert checked >= 100

@@ -6,13 +6,15 @@ import pytest
 import cmgames as cm
 from cmgames.aux_mdps import mdp_policy_from_modification, pair_to_game_occupancy
 from cmgames.equilibrium import BOUNDARY_TOL, _floored_pair_program, feasible_occupancy
-from cmgames.lp import (
-    best_feasible_modification,
-    build_pair_occupancy_lp,
-    solve_lp,
-)
+from cmgames.lp import build_pair_occupancy_lp, solve_lp
 from cmgames.modifications import DEFAULT_ENUM_CAP, count_det_modifications
-from oracles import best_markov_modification, random_game, random_markov_mod, random_policy
+from oracles import (
+    best_feasible_modification,
+    best_markov_modification,
+    random_game,
+    random_markov_mod,
+    random_policy,
+)
 
 # (|S|, H, action counts): H = 1..3, a three-action player, three players and
 # single-action players; every family stays small enough to enumerate.
