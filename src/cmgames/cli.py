@@ -306,7 +306,7 @@ def example_assertions(seed: int):
 
     def e1_value():
         v = evaluate(e1, compute_occupancy(e1, pi_mixed)).reward[0]
-        return close(v, 1.0 / 3.0, 1e-12), f"V_r1 = {v!r}"
+        return close(v, 1.0 / 3.0, 1e-12), f"V_r1 = {float(v)!r}"
 
     def e1_infeasible():
         rep = feasibility(e1, pi0001)
@@ -330,7 +330,7 @@ def example_assertions(seed: int):
     def e1_not_ce():
         cert = verify_cce(e1, pi_mixed)
         ok = cert.verdict == "not_CE" and close(cert.gaps[1], 0.5)
-        return ok, f"verdict {cert.verdict}, player-2 gap {cert.gaps[1]!r}"
+        return ok, f"verdict {cert.verdict}, player-2 gap {float(cert.gaps[1])!r}"
 
     def e1_strong_fails():
         res = [check_strong_slater_at(e1, i, pi0001) for i in range(2)]
@@ -376,7 +376,7 @@ def example_assertions(seed: int):
         sol = solve_lp(build_pair_occupancy_lp(e2, 0, uniform2))
         v = evaluate(e2, compute_occupancy(e2, uniform2)).reward[0]
         ok = sol.status == OPTIMAL and close(sol.objective, 0.25) and close(v, 0.25)
-        return ok, f"psi1 = {sol.objective!r}, V_r1 = {v!r}"
+        return ok, f"psi1 = {sol.objective!r}, V_r1 = {float(v)!r}"
 
     def e2_uniform_mixture():
         vals = modification_values(e2, 0, uniform2)

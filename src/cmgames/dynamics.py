@@ -121,13 +121,8 @@ class FeasibilityReport:
 
 
 def slacks_of(game: ConstrainedMarkovGame, occupancy: np.ndarray) -> np.ndarray:
-    """Slack matrix (N, J) for an occupancy measure."""
-    values = evaluate(game, occupancy)
-    if game.constraint_mode == COMMON:
-        thresholds = np.tile(game.thresholds, (game.num_players, 1))
-    else:
-        thresholds = game.thresholds
-    return values.constraint - thresholds
+    """Slack matrix (N, J) for an occupancy measure; common (J,) thresholds broadcast."""
+    return evaluate(game, occupancy).constraint - game.thresholds
 
 
 def feasibility(game: ConstrainedMarkovGame, policy: np.ndarray,

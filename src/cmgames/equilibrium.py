@@ -12,9 +12,10 @@ K^i = |A^i|^(H*|S|*|A^i|) deterministic ones.  The two optima agree because
 stochastic Markov modifications are the convex hull of the deterministic
 ones (in occupancy), and by the modification-class equivalences the
 certificate covers the full history-dependent stochastic class as well.
-The fixed-point search steps along the same program's optima, so it
-enumerates nothing either; the Slater checks and the regularity probe still
-solve their programs over weights on the enumerated family.
+The fixed-point search certifies every iterate the same way, from the
+previous bases, and steps along those optima, so it enumerates nothing
+either; the Slater checks and the regularity probe still solve their
+programs over weights on the enumerated family.
 """
 
 from __future__ import annotations
@@ -69,14 +70,39 @@ class EquilibriumCertificate:
 
 
 def _floored_pair_program(game: ConstrainedMarkovGame, player: int, policy: np.ndarray,
-                          constraint_values: np.ndarray) -> lpmod.LinearProgram:
+                          constraint_values: np.ndarray,
+                          start: tuple[int, ...] | None = None) -> lpmod.LinearProgram:
     """Psi^i's pair-MDP occupancy program with thresholds min(c^{i,j}, V^{g^{i,j}}(pi)).
 
     The floor keeps the identity modification feasible for a policy that
     meets its constraints only within tol; for any other it is c^{i,j}.
     """
     program = lpmod.build_pair_occupancy_lp(game, player, policy)
-    return replace(program, b_ub=np.minimum(program.b_ub, constraint_values))
+    return replace(program, b_ub=np.minimum(program.b_ub, constraint_values), start=start)
+
+
+def _certify(game: ConstrainedMarkovGame, policy: np.ndarray, tol: float,
+             starts) -> tuple[EquilibriumCertificate, list[lpmod.LPSolution]]:
+    """verify_cce's certificate, plus each solved floored pair program's LPSolution.
+
+    starts[i] starts player i's program; None starts it cold.  Below -tol a
+    slack makes the policy infeasible: it gets no Psi, and its cold programs
+    are not solved, but started ones are, because the search steps from them.
+    """
+    values = evaluate(game, compute_occupancy(game, policy))   # validates the policy
+    slacks = values.constraint - game.thresholds
+    feasible = not slacks.size or slacks.min() >= -tol
+    solutions = []
+    for i, start in enumerate(starts):
+        if feasible or start is not None:
+            program = _floored_pair_program(game, i, policy, values.constraint[i], start)
+            solutions.append(lpmod.solve_lp(program))
+            lpmod.require_optimal(solutions[-1].status, f"best-modification program for player {i}")
+    psi = np.array([sol.objective for sol in solutions]) if feasible else None
+    gaps = None if psi is None else psi - values.reward
+    verdict = INFEASIBLE_POLICY if psi is None else CONSTRAINED_CE if gaps.max() <= tol else NOT_CE
+    return EquilibriumCertificate(verdict=verdict, tol=tol, slacks=slacks, gaps=gaps, psi=psi,
+                                  reward_values=values.reward), solutions
 
 
 def verify_cce(game: ConstrainedMarkovGame, policy: np.ndarray,
@@ -88,24 +114,10 @@ def verify_cce(game: ConstrainedMarkovGame, policy: np.ndarray,
     (_floored_pair_program), which equals the best-feasible-modification
     program over the deterministic family: stochastic Markov modifications
     are its convex hull, and the modification classes give the same
-    equilibrium notion.  Raises NumericalLPError when a program hits
-    numerical trouble.
+    equilibrium notion.  Each program is solved cold.  Raises
+    NumericalLPError when a program hits numerical trouble.
     """
-    occupancy = compute_occupancy(game, policy)   # validates the policy
-    values = evaluate(game, occupancy)
-    slacks = slacks_of(game, occupancy)
-    if slacks.size and slacks.min() < -tol:
-        return EquilibriumCertificate(verdict=INFEASIBLE_POLICY, tol=tol, slacks=slacks,
-                                      gaps=None, psi=None, reward_values=values.reward)
-    psi = np.empty(game.num_players)
-    for i in range(game.num_players):
-        sol = lpmod.solve_lp(_floored_pair_program(game, i, policy, values.constraint[i]))
-        lpmod.require_optimal(sol.status, f"best-modification program for player {i}")
-        psi[i] = sol.objective
-    gaps = psi - values.reward
-    verdict = CONSTRAINED_CE if gaps.max() <= tol else NOT_CE
-    return EquilibriumCertificate(verdict=verdict, tol=tol, slacks=slacks,
-                                  gaps=gaps, psi=psi, reward_values=values.reward)
+    return _certify(game, policy, tol, [None] * game.num_players)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -256,10 +268,6 @@ def _min_slack(game: ConstrainedMarkovGame, occupancy: np.ndarray) -> float:
     return float(slacks.min()) if slacks.size else np.inf
 
 
-def _min_common_slack(game: ConstrainedMarkovGame, policy: np.ndarray) -> float:
-    return _min_slack(game, compute_occupancy(game, policy))
-
-
 def slater_sampling_harness(game: ConstrainedMarkovGame, mode: str, num_samples: int,
                             seed: int, cap: int = DEFAULT_ENUM_CAP) -> SlaterReport:
     """Sampled evidence for the Slater assumptions; a clean report is not a proof.
@@ -333,10 +341,10 @@ def _boundary_policy(game: ConstrainedMarkovGame, anchor: np.ndarray,
     answer; if the sample is feasible too the whole segment may be interior,
     in which case the pointwise condition does not apply.
     """
-    lo_val = _min_common_slack(game, anchor)
+    lo_val = _min_slack(game, compute_occupancy(game, anchor))
     if abs(lo_val) <= BOUNDARY_TOL:
         return anchor
-    hi_val = _min_common_slack(game, sample)
+    hi_val = _min_slack(game, compute_occupancy(game, sample))
     if hi_val > BOUNDARY_TOL:
         return None
     if abs(hi_val) <= BOUNDARY_TOL:
@@ -345,7 +353,7 @@ def _boundary_policy(game: ConstrainedMarkovGame, anchor: np.ndarray,
     for _ in range(iters):
         mid = 0.5 * (lo + hi)
         mixed = (1.0 - mid) * anchor + mid * sample
-        if _min_common_slack(game, mixed) >= 0.0:
+        if _min_slack(game, compute_occupancy(game, mixed)) >= 0.0:
             lo = mid
         else:
             hi = mid
@@ -418,19 +426,21 @@ def find_cce(game: ConstrainedMarkovGame, initial: np.ndarray | None = None,
              player_rule: str = "max-gap") -> FindResult:
     """Damped iteration of the existence proof's point-to-set map.
 
-    Each round solves every player's floored pair-MDP program (the one
-    verify_cce solves) at pi = Gamma(d), then moves d toward the game
+    Each round certifies pi = Gamma(d) as verify_cce does, solving every
+    player's floored pair-MDP program, then moves d toward the game
     occupancy of the chosen player's optimum (aux_mdps.pair_to_game_occupancy)
     with step (Psi^i - V^{r^i}) / (2H).  That target is worth Psi^i and meets
     the floored thresholds, so the step lies in [0, 1/2] and every iterate
     stays feasible.  Nothing is enumerated.  A player's program starts at the
     identity modification the first time and afterwards at that player's
     previous optimal basis, which the damped step usually leaves feasible;
-    when it does not, the solver runs phase 1.  Convergence is not
-    guaranteed, only existence is, so the returned certificate is
-    authoritative, not the flag.  Without binding constraints the step
-    shrinks with the gap, so the gap falls only like 2/t: example2 with
-    J = 0 still has a gap of 2.0e-4 after the default 10 000 iterations.
+    when it does not, the solver runs phase 1.  The returned certificate is
+    the last round's: the converged one, or one more at the last iterate
+    when the budget runs out; no program is solved cold.  Convergence is not
+    guaranteed, only existence is, so the certificate is authoritative, not
+    the flag.  Without binding constraints the step shrinks with the gap,
+    so the gap falls only like 2/t: example2 with J = 0 still has a gap of
+    2.0e-4 after the default 10 000 iterations.
     """
     if game.constraint_mode != COMMON:
         raise ValueError("find_cce needs common constraints")
@@ -469,27 +479,20 @@ def find_cce(game: ConstrainedMarkovGame, initial: np.ndarray | None = None,
 
     for it in range(max_iters):
         policy = occupancy_to_policy(game, d)
-        values = evaluate(game, compute_occupancy(game, policy))
-        gaps = np.empty(game.num_players)
-        optima = []
-        for i in range(game.num_players):
-            program = _floored_pair_program(game, i, policy, values.constraint[i])
-            sol = lpmod.solve_lp(replace(program, start=starts[i]))
-            lpmod.require_optimal(sol.status, "best-modification program mid-search")
-            starts[i] = sol.basis or starts[i]
-            gaps[i] = sol.objective - values.reward[i]
-            optima.append(sol.x)
+        certificate, optima = _certify(game, policy, tol, starts)
+        starts = [sol.basis or start for sol, start in zip(optima, starts)]
+        gaps = np.array([sol.objective for sol in optima]) - certificate.reward_values
         if gaps.max() <= tol:
             converged = True
             break
         chosen = int(np.argmax(gaps)) if player_rule == "max-gap" else it % game.num_players
         lam = max(float(gaps[chosen]), 0.0) / two_h
-        d = (1.0 - lam) * d + lam * pair_to_game_occupancy(game, chosen, policy, optima[chosen])
+        d = (1.0 - lam) * d + lam * pair_to_game_occupancy(game, chosen, policy, optima[chosen].x)
         steps.append(TraceStep(iteration=it, gaps=gaps, chosen_player=chosen,
                                step_size=lam, min_slack=_min_slack(game, d)))
+    else:
+        policy = occupancy_to_policy(game, d)
+        certificate, _ = _certify(game, policy, tol, starts)
 
-    # Certify the policy of the returned occupancy, also when the budget ran out.
-    policy = occupancy_to_policy(game, d)
-    certificate = verify_cce(game, policy, tol=tol)
     trace = FixedPointTrace(steps=tuple(steps), converged=converged)
     return FindResult(policy=policy, occupancy=d, trace=trace, certificate=certificate)

@@ -110,14 +110,15 @@ class LPSolution:
 
 
 def _bland_pivots(a: np.ndarray, b: np.ndarray, cost: np.ndarray,
-                  basis: np.ndarray) -> str:
+                  basis: np.ndarray) -> tuple[str, np.ndarray | None]:
     """Revised simplex (minimization) with Bland's rule, in place on ``basis``.
 
     Each iteration re-solves against the original data, so degenerate pivot
     chains cannot accumulate roundoff.  Entering column: the lowest-index
     nonbasic column with negative reduced cost; leaving row: minimum ratio,
-    ties broken by the smallest basic variable index.  Returns
-    NUMERICAL at the pivot limit; a singular basis raises LinAlgError.
+    ties broken by the smallest basic variable index.  Returns (status, x_B)
+    with x_B solved at the final basis on OPTIMAL, else None; NUMERICAL at
+    the pivot limit.  A singular basis raises LinAlgError.
     """
     m = a.shape[0]
     max_pivots = 200 * (m + a.shape[1] + 10)
@@ -131,19 +132,19 @@ def _bland_pivots(a: np.ndarray, b: np.ndarray, cost: np.ndarray,
         reduced[basis] = 0.0
         candidates = np.flatnonzero(reduced < -LP_TOL)
         if candidates.size == 0:
-            return OPTIMAL
+            return OPTIMAL, x_b
         enter = int(candidates[0])
         direction = np.linalg.solve(bmat, a[:, enter])
         positive = direction > PIVOT_TOL
         if not positive.any():
-            return UNBOUNDED
+            return UNBOUNDED, None
         ratios = np.full(m, np.inf)
         ratios[positive] = np.maximum(x_b[positive], 0.0) / direction[positive]
         best = ratios.min()
         tied = np.flatnonzero(ratios <= best + 1e-12)
         leave = int(tied[np.argmin(basis[tied])])
         basis[leave] = enter
-    return NUMERICAL
+    return NUMERICAL, None
 
 
 def solve_lp(lp: LinearProgram) -> LPSolution:
@@ -191,9 +192,9 @@ def _phase_one(a: np.ndarray, b: np.ndarray, feas_tol: float
     a1 = np.hstack([a, np.eye(m)])
     cost1 = np.concatenate([np.zeros(n_slack), np.ones(m)])
     basis = np.arange(n_slack, n_slack + m)
-    if _bland_pivots(a1, b, cost1, basis) != OPTIMAL:
+    status, x_b = _bland_pivots(a1, b, cost1, basis)
+    if status != OPTIMAL:
         return NUMERICAL, a, b, None
-    x_b = np.linalg.solve(a1[:, basis], b)
     if float(cost1[basis] @ x_b) > feas_tol:
         return INFEASIBLE, a, b, None
 
@@ -216,6 +217,7 @@ def _phase_one(a: np.ndarray, b: np.ndarray, feas_tol: float
 
 
 def _two_phase(lp: LinearProgram) -> LPSolution:
+    """solve_lp's body; x is phase 2's final x_B, not solved again at its basis."""
     n = lp.c.shape[0]
     if n < 1:
         raise ValueError("linear program needs at least one variable")
@@ -249,12 +251,12 @@ def _two_phase(lp: LinearProgram) -> LPSolution:
     # Phase 2: minimize -c (i.e. maximize c) over the real variables.
     cost2 = np.zeros(n_slack)
     cost2[:n] = -lp.c
-    status = _bland_pivots(a, b, cost2, basis)
+    status, x_b = _bland_pivots(a, b, cost2, basis)
     if status != OPTIMAL:
         return LPSolution(status=status, x=None, objective=None)
 
     x_full = np.zeros(n_slack)
-    x_full[basis] = np.linalg.solve(a[:, basis], b)
+    x_full[basis] = x_b
     x = x_full[:n]
     x[(x < 0) & (x > -1e-7)] = 0.0
     whole = tuple(basis.tolist()) if basis.size == m else None

@@ -1,5 +1,6 @@
 """Equilibrium certificates, Slater diagnostics and the fixed-point search."""
 
+import dataclasses
 from pathlib import Path
 
 import numpy as np
@@ -387,3 +388,39 @@ def test_find_runs_past_the_enumeration_cap():
     result = cm.find_cce(game, max_iters=20, tol=1e-6)
     assert result.certificate.verdict in ("constrained_CE", "not_CE")
     assert result.certificate.verdict == cm.verify_cce(game, result.policy, tol=1e-6).verdict
+
+
+def _certified_find_games():
+    """Seeded H = 1..2 games and the three tests/data fixtures, common mode."""
+    for seed in range(8):
+        rng = np.random.default_rng(7600 + seed)
+        yield random_game(rng, num_states=2, horizon=1 + seed % 2, action_counts=(2, 2),
+                          j=1 + seed % 3, threshold_scale=0.9)
+    for path in sorted((Path(__file__).parent / "data").glob("*.game")):
+        game = cm.load_game(path)
+        if game.constraint_mode != COMMON:
+            # find needs common constraints: share player 1's rows.
+            game = dataclasses.replace(game, constraints=game.constraints[0],
+                                       thresholds=game.thresholds[0], constraint_mode=COMMON)
+        yield game
+
+
+def test_find_certificate_matches_cold_verify():
+    """find's certificate comes from its warm-started programs, of the
+    converged round or of one more round when the budget runs out; a cold
+    verify_cce of the returned policy must agree with it."""
+    ends = {"converged": 0, "budget": 0}
+    for game in _certified_find_games():
+        for rule in ("max-gap", "round-robin"):
+            for max_iters in (0, 1, 20):
+                for tol in (1e-6, 3e-2):
+                    result = cm.find_cce(game, max_iters=max_iters, tol=tol, player_rule=rule)
+                    cert, cold = result.certificate, cm.verify_cce(game, result.policy, tol=tol)
+                    assert cert.verdict == cold.verdict and cert.tol == cold.tol
+                    assert np.array_equal(cert.slacks, cold.slacks)
+                    assert np.array_equal(cert.reward_values, cold.reward_values)
+                    assert np.abs(cert.psi - cold.psi).max() <= 1e-12
+                    assert np.abs(cert.gaps - cold.gaps).max() <= 1e-12
+                    if result.trace.steps:
+                        ends["converged" if result.trace.converged else "budget"] += 1
+    assert ends["converged"] >= 2 and ends["budget"] >= 70

@@ -345,7 +345,7 @@ def find_programs():
 
     def recording_solve(lp):
         sol = real_solve(lp)
-        if lp.start is not None:             # the feasible-start and final Psi programs have none
+        if lp.start is not None:             # only the feasible-occupancy program has none
             solved.append((built[-1], lp, sol))
         return sol
 
@@ -402,3 +402,75 @@ def test_identity_start_skips_phase_one_on_find_programs(find_programs, monkeypa
         assert abs(again.objective - sol.objective) <= 1e-12
         checked += 1
     assert checked >= 100
+
+
+def test_find_cce_solves_each_psi_program_once_from_a_start(monkeypatch):
+    """N programs per round plus the certificate's N when the budget runs out:
+    every pair program goes to solve_lp with a start, and the only program
+    solved cold is feasible_occupancy's."""
+    pair_rows, started, cold = [], [], []
+    real_build, real_solve = lpmod.build_pair_occupancy_lp, lpmod.solve_lp
+
+    def recording_build(game, player, policy):
+        lp = real_build(game, player, policy)
+        pair_rows.append(lp.a_eq)            # the floored program shares this array
+        return lp
+
+    def recording_solve(lp):
+        if any(lp.a_eq is rows for rows in pair_rows):
+            assert lp.start is not None
+            started.append(lp)
+        else:
+            cold.append(lp)
+        return real_solve(lp)
+
+    monkeypatch.setattr(lpmod, "build_pair_occupancy_lp", recording_build)
+    monkeypatch.setattr(lpmod, "solve_lp", recording_solve)
+    budget_runs = 0
+    for game in _find_games():
+        for max_iters in (0, 1, 20):
+            for recorded in (pair_rows, started, cold):
+                recorded.clear()
+            result = cm.find_cce(game, max_iters=max_iters, tol=1e-6)
+            assert len(pair_rows) == len(started)
+            assert len(started) == game.num_players * (len(result.trace.steps) + 1)
+            assert len(cold) == 1 and cold[0].start is None and not cold[0].c.any()
+            assert cold[0].a_eq.shape[1] == game.rewards[0].size   # over game occupancies
+            budget_runs += not result.trace.converged
+    assert budget_runs >= 15
+
+
+def test_simplex_factors_no_final_basis_twice(alpha_programs, monkeypatch):
+    """A re-solve from the program's own optimal basis makes exactly three
+    solves (the start check, x_B and y); a cold solve makes none after its
+    last pivot iteration, since x is that iteration's x_B."""
+    solves, at_return = [0], []
+    real_solve, real_pivots = np.linalg.solve, lpmod._bland_pivots
+
+    def counting(*args, **kwargs):
+        solves[0] += 1
+        return real_solve(*args, **kwargs)
+
+    def pivots(a, b, cost, basis):
+        result = real_pivots(a, b, cost, basis)
+        at_return.append(solves[0])
+        return result
+
+    monkeypatch.setattr(np.linalg, "solve", counting)
+    monkeypatch.setattr(lpmod, "_bland_pivots", pivots)
+    programs = alpha_programs + [_random_started_lp(np.random.default_rng(7300 + s))
+                                 for s in range(20)]
+    resolved = 0
+    for lp in programs:
+        solves[0] = 0
+        at_return.clear()
+        sol = solve_lp(dataclasses.replace(lp, start=None))
+        assert sol.status != "optimal" or solves[0] == at_return[-1]
+        if sol.basis is None:
+            continue
+        solves[0] = 0
+        again = solve_lp(dataclasses.replace(lp, start=sol.basis))
+        assert solves[0] == 3
+        assert np.array_equal(again.x, sol.x) and again.objective == sol.objective
+        resolved += 1
+    assert resolved >= 100
