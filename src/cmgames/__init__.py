@@ -37,7 +37,6 @@ from .modifications import (
 )
 from .aux_mdps import (
     AuxiliaryMDP,
-    LiftedReward,
     alpha_from_modification,
     aux_occupancy,
     build_mdp1,

@@ -171,23 +171,6 @@ def aux_occupancy(mdp: AuxiliaryMDP, policy_tables) -> list[np.ndarray]:
 # Lifted rewards and backward induction
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class LiftedReward:
-    """Pair-MDP reward whose value equals the modified-policy signal value.
-
-    tables[t][(s, rec), played] = |A_i|^(t+1) * sum_{a^{-i}}
-        signal_t(s, (played, a^{-i})) * pi_t((rec, a^{-i}) | s),
-    and zero at the absorbing state.
-    """
-
-    player: int
-    tables: tuple[np.ndarray, ...]   # per t: (S*A_i + 1, A_i)
-
-    def __post_init__(self):
-        for arr in self.tables:
-            arr.setflags(write=False)
-
-
 def _pair_scale(game: ConstrainedMarkovGame, player: int) -> np.ndarray:
     """|A_i|^(t+1) per timestep, shaped to broadcast over (t, s, ...) cells."""
     return float(game.action_counts[player]) ** np.arange(1, game.horizon + 1)[:, None, None, None]
@@ -195,19 +178,23 @@ def _pair_scale(game: ConstrainedMarkovGame, player: int) -> np.ndarray:
 
 def lift_signals(game: ConstrainedMarkovGame, player: int, policy: np.ndarray,
                  signals: np.ndarray) -> np.ndarray:
-    """Lift a stack of (..., H, S, A) signals: [..., t, s, r, p] is LiftedReward's ((s, r), p)."""
+    """Lift a stack of (..., H, S, A) signals: [..., t, s, r, p] is lift_reward's [t, (s, r), p]."""
     lifted = np.einsum("tsbrf,...tsbpf->...tsrp", split_player_axis(game, policy, player),
                        split_player_axis(game, np.asarray(signals, dtype=np.float64), player))
     return _pair_scale(game, player) * lifted
 
 
 def lift_reward(game: ConstrainedMarkovGame, player: int, policy: np.ndarray,
-                signal: np.ndarray) -> LiftedReward:
-    """Lift a per-step (H, S, A) signal (a reward r^i or any constraint g^{i,j})."""
+                signal: np.ndarray) -> np.ndarray:
+    """Lift a per-step (H, S, A) signal (a reward r^i or any constraint g^{i,j}).
+
+    Returns the (H, S*A_i + 1, A_i) pair-MDP reward, zero at b, whose value
+    equals the modified-policy signal value: lifted[t, (s, rec), played] =
+    |A_i|^(t+1) * sum_{a^{-i}} signal_t(s, (played, a^{-i})) * pi_t((rec, a^{-i}) | s).
+    """
     ai = game.action_counts[player]
     lifted = lift_signals(game, player, policy, signal).reshape(game.horizon, -1, ai)
-    tables = np.concatenate([lifted, np.zeros((game.horizon, 1, ai))], axis=1)   # b earns 0
-    return LiftedReward(player=player, tables=tuple(tables))
+    return np.concatenate([lifted, np.zeros((game.horizon, 1, ai))], axis=1)   # b earns 0
 
 
 def pair_to_game_occupancy(game: ConstrainedMarkovGame, player: int, policy: np.ndarray,
@@ -226,9 +213,9 @@ def pair_to_game_occupancy(game: ConstrainedMarkovGame, player: int, policy: np.
     return d.reshape(policy.shape)
 
 
-def optimize_aux(mdp: AuxiliaryMDP, lifted: LiftedReward,
+def optimize_aux(mdp: AuxiliaryMDP, lifted: np.ndarray,
                  direction: str = "max") -> tuple[float, MarkovModification]:
-    """Exact backward induction over the pair MDP.
+    """Exact backward induction over the pair MDP, with lift_reward's array as reward.
 
     Returns the optimal value over all Markov modifications and a
     deterministic optimizer; ties break toward the lexicographically
@@ -243,7 +230,7 @@ def optimize_aux(mdp: AuxiliaryMDP, lifted: LiftedReward,
     value = np.zeros(n + 1)
     picks = []
     for t in range(mdp.horizon - 1, -1, -1):
-        q = np.array(lifted.tables[t])
+        q = np.array(lifted[t])
         if t < mdp.horizon - 1:
             q += np.einsum("xay,y->xa", mdp.kernels[t], value)
         chosen = np.argmax(q, axis=1) if direction == "max" else np.argmin(q, axis=1)

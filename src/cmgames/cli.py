@@ -3,15 +3,14 @@
 Reports go to standard output as JSON (sorted keys, so identical inputs and
 seed produce byte-identical bytes); a human-readable summary goes to standard
 error when it is a terminal and --json was not given.  Every command takes
---json; --cap (deterministic-modification enumeration cap) applies to the
-commands that enumerate on user input (slater, equivalence) and
---history-cap to equivalence, the only one that processes non-Markov
-modifications.  verify and find solve polynomial pair-MDP programs and
-enumerate nothing.  find exits with its own certificate's verdict.  Exit
+--json; equivalence, whose claims are about the whole deterministic family,
+alone takes --cap (the enumeration cap) and --history-cap (for non-Markov
+modifications).  verify, find and slater solve polynomial pair-MDP programs
+and enumerate nothing.  find exits with its own certificate's verdict.  Exit
 codes: 0 success/verdict-positive, 1 validation failure, 2 I/O (any
 unreadable path or malformed file), 3 not_CE / failures found, 4
-infeasible, 5 resource cap, 6 numerical trouble in a linear program
-(singular basis or pivot limit).
+infeasible, 5 resource cap (equivalence), 6 numerical trouble in a linear
+program (singular basis or pivot limit).
 """
 
 from __future__ import annotations
@@ -175,7 +174,7 @@ def cmd_find(args) -> int:
 
 def cmd_slater(args) -> int:
     game = load_game(args.game)
-    report = slater_sampling_harness(game, args.mode, args.samples, args.seed, cap=args.cap)
+    report = slater_sampling_harness(game, args.mode, args.samples, args.seed)
     _emit(_report(args, report.as_dict(), {"game": _digest(args.game)}), args)
     return EXIT_OK if report.clean else EXIT_NOT_CE
 
@@ -508,23 +507,20 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"cmgames {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, cap=True):
+    def common(p):
         p.add_argument("--json", action="store_true",
                        help="suppress the human-readable summary on stderr")
-        if cap:
-            p.add_argument("--cap", type=int, default=DEFAULT_ENUM_CAP,
-                           help="deterministic-modification enumeration cap")
 
     p = sub.add_parser("validate", help="check a game file against its invariants")
     p.add_argument("game")
-    common(p, cap=False)
+    common(p)
     p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("verify", help="certify a policy as a constrained correlated equilibrium")
     p.add_argument("game")
     p.add_argument("policy")
     p.add_argument("--tol", type=float, default=1e-9)
-    common(p, cap=False)
+    common(p)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("find", help="fixed-point search for an equilibrium (common mode)")
@@ -533,7 +529,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-iters", type=int, default=10_000)
     p.add_argument("--tol", type=float, default=1e-6)
     p.add_argument("--rule", choices=("max-gap", "round-robin"), default="max-gap")
-    common(p, cap=False)
+    common(p)
     p.set_defaults(func=cmd_find)
 
     p = sub.add_parser("slater", help="sampled Slater-condition diagnostics")
@@ -552,12 +548,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--history-cap", type=int, default=DEFAULT_HISTORY_CAP,
                    help="history-state cap for non-Markov processing")
     common(p)
+    p.add_argument("--cap", type=int, default=DEFAULT_ENUM_CAP,
+                   help="deterministic-modification enumeration cap")
     p.set_defaults(func=cmd_equivalence)
 
     p = sub.add_parser("reproduce-paper", help="re-run the bundled worked-example assertions")
     p.add_argument("--only", choices=("example1", "example2", "equivalence"), default=None)
     p.add_argument("--seed", type=int, default=0)
-    common(p, cap=False)
+    common(p)
     p.set_defaults(func=cmd_reproduce_paper)
 
     return parser

@@ -14,8 +14,7 @@ ones (in occupancy), and by the modification-class equivalences the
 certificate covers the full history-dependent stochastic class as well.
 The fixed-point search certifies every iterate the same way, from the
 previous bases, and steps along those optima, so it enumerates nothing
-either; the Slater checks and the regularity probe still solve their
-programs over weights on the enumerated family.
+either; nor do the Slater checks, which ask the pair program too.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import lp as lpmod
-from .aux_mdps import build_mdp2, lift_reward, optimize_aux, pair_to_game_occupancy
+from .aux_mdps import pair_to_game_occupancy
 from .dynamics import (
     VALUE_TOL,
     compute_occupancy,
@@ -36,7 +35,6 @@ from .dynamics import (
     validate_occupancy,
 )
 from .game import COMMON, ConstrainedMarkovGame
-from .modifications import DEFAULT_ENUM_CAP
 
 BOUNDARY_TOL = 1e-9
 
@@ -134,17 +132,17 @@ class StrongSlaterResult:
         return {"player": self.player, "holds": self.holds, "margin": self.margin}
 
 
-def check_strong_slater_at(game: ConstrainedMarkovGame, player: int, policy: np.ndarray,
-                           cap: int = DEFAULT_ENUM_CAP) -> StrongSlaterResult:
+def check_strong_slater_at(game: ConstrainedMarkovGame, player: int,
+                           policy: np.ndarray) -> StrongSlaterResult:
     """Does some Markov modification make every constraint strictly slack?
 
-    One max-min program over mixture weights answers all constraints at once
-    (mixtures of deterministic modifications cover the stochastic class).
+    One max-min program over the pair polytope, the image of the mixtures of
+    deterministic modifications, answers all constraints at once.
     """
-    vals = lpmod.modification_values(game, player, policy, cap=cap)
-    if vals.constraint.shape[0] == 0:
+    if game.num_constraints == 0:
         return StrongSlaterResult(player=player, holds=True, margin=np.inf)
-    margin, _ = lpmod.max_min_slack(vals.constraint, vals.thresholds)
+    margin, _ = lpmod.max_min_slack(replace(lpmod.build_pair_occupancy_lp(game, player, policy),
+                                            start=lpmod.identity_basis(game, player)))
     return StrongSlaterResult(player=player, holds=margin > BOUNDARY_TOL, margin=margin)
 
 
@@ -162,8 +160,8 @@ class WeakSlaterResult:
     branch: str | None
 
 
-def check_weak_slater_at(game: ConstrainedMarkovGame, player: int, policy: np.ndarray,
-                         cap: int = DEFAULT_ENUM_CAP) -> WeakSlaterResult:
+def check_weak_slater_at(game: ConstrainedMarkovGame, player: int,
+                         policy: np.ndarray) -> WeakSlaterResult:
     """Pointwise weakened Slater condition at a boundary policy (common mode).
 
     Condition 1: a strictly feasible modification exists.  Condition 2(a):
@@ -185,22 +183,16 @@ def check_weak_slater_at(game: ConstrainedMarkovGame, player: int, policy: np.nd
                                 condition2b=None, min_weight=None, satisfied=None,
                                 branch=None)
 
-    mdp = build_mdp2(game, player, policy)
-    minima = []
-    for j in range(game.num_constraints):
-        lifted = lift_reward(game, player, policy, game.constraint_table(player, j))
-        value, _ = optimize_aux(mdp, lifted, direction="min")
-        minima.append(value)
-    cond2a = all(v < game.threshold(player, j) - BOUNDARY_TOL for j, v in enumerate(minima))
-    # The regularity probe solves the strong-Slater max-min program too.
-    regularity = lpmod.check_lp_regularity(game, player, policy, cap=cap)
+    regularity = lpmod.check_lp_regularity(game, player, policy)
+    cond2a = all(v < game.threshold(player, j) - BOUNDARY_TOL
+                 for j, v in enumerate(regularity.minima))
     cond1 = regularity.max_min_slack > BOUNDARY_TOL
     cond2b = regularity.positive_weight_feasible
     satisfied = cond1 or (cond2a and cond2b)
     branch = "condition1" if cond1 else ("condition2" if (cond2a and cond2b) else "none")
     return WeakSlaterResult(player=player, applicable=True, min_slack=min_slack,
                             condition1=cond1, condition2a=cond2a,
-                            minima=tuple(minima), condition2b=cond2b,
+                            minima=regularity.minima, condition2b=cond2b,
                             min_weight=regularity.min_weight,
                             satisfied=satisfied, branch=branch)
 
@@ -269,7 +261,7 @@ def _min_slack(game: ConstrainedMarkovGame, occupancy: np.ndarray) -> float:
 
 
 def slater_sampling_harness(game: ConstrainedMarkovGame, mode: str, num_samples: int,
-                            seed: int, cap: int = DEFAULT_ENUM_CAP) -> SlaterReport:
+                            seed: int) -> SlaterReport:
     """Sampled evidence for the Slater assumptions; a clean report is not a proof.
 
     Policies are drawn row-wise from Dirichlet(1) using numpy's PCG64
@@ -292,7 +284,7 @@ def slater_sampling_harness(game: ConstrainedMarkovGame, mode: str, num_samples:
             tested += 1
             per_player = []
             for i in range(game.num_players):
-                res = check_strong_slater_at(game, i, policy, cap=cap)
+                res = check_strong_slater_at(game, i, policy)
                 per_player.append(res.as_dict())
                 if not res.holds:
                     failures.append(SlaterFailure(
@@ -317,7 +309,7 @@ def slater_sampling_harness(game: ConstrainedMarkovGame, mode: str, num_samples:
                 tested += 1
                 per_player = []
                 for i in range(game.num_players):
-                    res = check_weak_slater_at(game, i, boundary, cap=cap)
+                    res = check_weak_slater_at(game, i, boundary)
                     per_player.append({"player": i, "applicable": res.applicable,
                                        "satisfied": res.satisfied, "branch": res.branch})
                     if res.applicable and not res.satisfied:
@@ -468,14 +460,9 @@ def find_cce(game: ConstrainedMarkovGame, initial: np.ndarray | None = None,
     steps: list[TraceStep] = []
     converged = False
 
-    # The identity's pair columns x_t((s, r), r), one per flow row, and the
-    # surplus column of every constraint row start each player's first
-    # program; its last optimal basis starts every later one.
-    starts = []
-    for ai in game.action_counts:
-        cells = game.horizon * game.num_states * ai
-        starts.append(tuple(c * ai + c % ai for c in range(cells))
-                      + tuple(range(cells * ai, cells * ai + game.num_constraints)))
+    # The identity's whole basis starts each player's first program; its
+    # last optimal basis starts every later one.
+    starts = [lpmod.identity_basis(game, i) for i in range(game.num_players)]
 
     for it in range(max_iters):
         policy = occupancy_to_policy(game, d)

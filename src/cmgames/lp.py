@@ -15,17 +15,19 @@ programs, regularity probes) reduces to this form.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .aux_mdps import build_mdp2, lift_signals
-from .dynamics import flow_rows, propagate
+from .aux_mdps import build_mdp2, lift_reward, lift_signals, optimize_aux
+from .dynamics import compute_occupancy, evaluate, flow_rows, propagate
 from .game import ConstrainedMarkovGame
 from .modifications import (
     DEFAULT_ENUM_CAP,
     MarkovModification,
+    apply_modification,
     compose_timestep,
+    count_det_modifications,
     enumerate_det_modifications,
 )
 
@@ -216,24 +218,25 @@ def _phase_one(a: np.ndarray, b: np.ndarray, feas_tol: float
     return OPTIMAL, a, b, basis
 
 
+def _equality_form(lp: LinearProgram) -> tuple[np.ndarray, np.ndarray]:
+    """(a, b) of A_ub x - s = b_ub (s >= 0 surplus), A_eq x = b_eq, rows negated so b >= 0."""
+    (m_ub, n), m_eq = lp.a_ub.shape, lp.a_eq.shape[0]
+    a = np.zeros((m_ub + m_eq, n + m_ub))
+    a[:m_ub, :n] = lp.a_ub
+    a[:m_ub, n:] = -np.eye(m_ub)
+    a[m_ub:, :n] = lp.a_eq
+    b = np.concatenate([lp.b_ub, lp.b_eq])
+    a[b < 0] *= -1.0
+    return a, np.abs(b)
+
+
 def _two_phase(lp: LinearProgram) -> LPSolution:
     """solve_lp's body; x is phase 2's final x_B, not solved again at its basis."""
     n = lp.c.shape[0]
     if n < 1:
         raise ValueError("linear program needs at least one variable")
-    m_ub, m_eq = lp.a_ub.shape[0], lp.a_eq.shape[0]
-    m = m_ub + m_eq
-    n_slack = n + m_ub
-
-    # Equality form: A_ub x - s = b_ub (s >= 0 surplus), A_eq x = b_eq.
-    a = np.zeros((m, n_slack))
-    a[:m_ub, :n] = lp.a_ub
-    a[:m_ub, n:] = -np.eye(m_ub)
-    a[m_ub:, :n] = lp.a_eq
-    b = np.concatenate([lp.b_ub, lp.b_eq])
-    neg = b < 0
-    a[neg] *= -1.0
-    b = np.abs(b)
+    a, b = _equality_form(lp)
+    m, n_slack = a.shape
 
     if m == 0:
         # Only nonnegativity: optimum is 0 unless some objective entry is positive.
@@ -341,6 +344,15 @@ def build_pair_occupancy_lp(game: ConstrainedMarkovGame, player: int,
                                b_ub=[game.threshold(player, k) for k in range(j)])
 
 
+def identity_basis(game: ConstrainedMarkovGame, player: int) -> tuple[int, ...]:
+    """The identity modification's whole basis in ``player``'s pair program: its
+    pair columns x_t((s, r), r), one per flow row, then every surplus column."""
+    ai = game.action_counts[player]
+    cells = game.horizon * game.num_states * ai
+    return (tuple(c * ai + c % ai for c in range(cells))
+            + tuple(range(cells * ai, cells * ai + game.num_constraints)))
+
+
 # ---------------------------------------------------------------------------
 # Hull membership and occupancy mixing
 # ---------------------------------------------------------------------------
@@ -394,49 +406,70 @@ def mix_occupancies(alpha: np.ndarray, occupancies) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Slack programs and LP regularity probes
+# Slack programs and LP regularity probes, over the pair program
 # ---------------------------------------------------------------------------
 
-def max_min_slack(constraint: np.ndarray, thresholds: np.ndarray
-                  ) -> tuple[float, np.ndarray]:
-    """max over alpha in the simplex of min_j (row_j . alpha - c_j).
+def max_min_slack(program: LinearProgram) -> tuple[float, np.ndarray]:
+    """max over the program's feasible x of min_r (A_ub x - b_ub)_r; its objective is ignored.
 
-    The epigraph variable is split into a nonnegative pair (u, v) with
-    t = u - v, keeping the solver's x >= 0 convention.
+    The epigraph variable t = u - v is split into a nonnegative pair, keeping
+    the solver's x >= 0 convention.  A start carries over (_epigraph_start).
+    Raises NumericalLPError on numerical trouble.
     """
-    j, k = constraint.shape
-    c = np.zeros(k + 2)
-    c[k], c[k + 1] = 1.0, -1.0
-    a_ub = np.hstack([constraint, -np.ones((j, 1)), np.ones((j, 1))])
-    a_eq = np.zeros((1, k + 2))
-    a_eq[0, :k] = 1.0
-    sol = solve_lp(LinearProgram.build(c=c, a_ub=a_ub, b_ub=thresholds,
-                                       a_eq=a_eq, b_eq=[1.0]))
+    (m, n), m_eq = program.a_ub.shape, program.a_eq.shape[0]
+    sol = solve_lp(LinearProgram.build(
+        c=np.concatenate([np.zeros(n), [1.0, -1.0]]),
+        a_ub=np.hstack([program.a_ub, -np.ones((m, 1)), np.ones((m, 1))]), b_ub=program.b_ub,
+        a_eq=np.hstack([program.a_eq, np.zeros((m_eq, 2))]), b_eq=program.b_eq,
+        start=_epigraph_start(program)))
     require_optimal(sol.status, "max-min slack program")
-    return float(sol.objective), sol.x[:k]
+    return float(sol.objective), sol.x[:n]
 
 
-def min_weight_feasible(constraint: np.ndarray, thresholds: np.ndarray,
-                        epsilon: float) -> np.ndarray | None:
-    """A feasible alpha with every weight >= epsilon, or None if none exists.
+def _epigraph_start(program: LinearProgram) -> tuple[int, ...] | None:
+    """The start with the least-slack row's surplus column traded for u (slack >= 0)
+    or v (slack < 0); if that column is nonbasic, every slack is >= 0 and t = 0
+    needs no trade.  None without a start or at a singular one."""
+    if program.start is None or not program.b_ub.size:
+        return None
+    a, b = _equality_form(program)
+    n, basis, x = program.c.shape[0], list(program.start), np.zeros(a.shape[1])
+    try:
+        x[basis] = np.linalg.solve(a[:, basis], b)
+    except np.linalg.LinAlgError:
+        return None
+    row = n + int(np.argmin(x[n:]))
+    epigraph = n if x[row] >= 0.0 else n + 1
+    return tuple(epigraph if j == row else j if j < n else j + 2 for j in basis)
 
-    The lower bounds are shifted away: alpha = epsilon + beta with beta >= 0
-    turns C alpha >= c, sum alpha = 1 into C beta >= c - epsilon C 1,
-    sum beta = 1 - K epsilon, so the program has J + 1 rows instead of
-    J + K + 1.  When K epsilon > 1 the sum row's right-hand side is negative
-    and phase 1 reports the program infeasible.  Raises NumericalLPError
-    when the program hits numerical trouble.
+
+def min_weight_feasible(game: ConstrainedMarkovGame, player: int, policy: np.ndarray,
+                        program: LinearProgram) -> float | None:
+    """The largest epsilon for which some feasible alpha puts >= epsilon on every
+    deterministic modification of ``player``; None when no alpha is feasible.
+
+    ``program`` is the player's pair program, G w >= c and A_eq w = b_eq.  In
+    alpha = epsilon 1 + beta, epsilon 1 is K epsilon times the uniform
+    modification (product weights 1/K), so C 1 = K v_u, and beta is
+    (1 - K epsilon) times a point of the pair polytope.  So lambda = K epsilon
+    solves max lambda s.t. G w + lambda v_u >= c, A_eq w + lambda b_eq = b_eq
+    (lambda <= 1 is implied), started at lambda = 0 from the program's start.
+    Raises NumericalLPError on numerical trouble.
     """
-    k = constraint.shape[1]
-    lp = LinearProgram.build(
-        c=np.zeros(k),
-        a_ub=constraint, b_ub=thresholds - epsilon * constraint.sum(axis=1),
-        a_eq=np.ones((1, k)), b_eq=[1.0 - k * epsilon])
-    sol = solve_lp(lp)
+    ai = game.action_counts[player]
+    uniform = MarkovModification(player=player, tables=np.full(
+        (game.horizon, game.num_states, ai, ai), 1.0 / ai))
+    v_u = evaluate(game, compute_occupancy(game, apply_modification(game, policy, uniform)))
+    n = program.c.shape[0]
+    sol = solve_lp(LinearProgram.build(
+        c=np.concatenate([np.zeros(n), [1.0]]), b_ub=program.b_ub, b_eq=program.b_eq,
+        a_ub=np.hstack([program.a_ub, v_u.constraint[player][:, None]]),
+        a_eq=np.hstack([program.a_eq, program.b_eq[:, None]]),
+        start=program.start and tuple(k if k < n else k + 1 for k in program.start)))
     if sol.status == INFEASIBLE:
         return None
     require_optimal(sol.status, "min-weight program")
-    return sol.x + epsilon
+    return sol.x[n] / count_det_modifications(game, player)
 
 
 @dataclass(frozen=True)
@@ -446,43 +479,39 @@ class LPRegularityReport:
     strictly_feasible  — a weight vector with all slacks > 0 exists;
     constant_rows      — constraint rows that are constant across k (the
                          degenerate beta * ones case);
-    positive_weight_feasible / min_weight / positive_alpha — outcome of the
-    epsilon sweep for a feasible alpha with all weights >= epsilon.
+    minima             — min over modifications of V^{g^{i,j}}, per j;
+    positive_weight_feasible / min_weight — the largest EPSILON_SWEEP value
+    at or below min_weight_feasible's maximum.
     """
 
     player: int
     strictly_feasible: bool
     max_min_slack: float
     constant_rows: tuple[int, ...]
+    minima: tuple[float, ...]
     positive_weight_feasible: bool
     min_weight: float | None
-    positive_alpha: np.ndarray | None
 
 
 EPSILON_SWEEP = tuple(10.0 ** -e for e in range(3, 10))   # 1e-3 .. 1e-9
 
 
-def check_lp_regularity(game: ConstrainedMarkovGame, player: int, policy: np.ndarray,
-                        cap: int = DEFAULT_ENUM_CAP) -> LPRegularityReport:
-    vals = modification_values(game, player, policy, cap=cap)
-    if vals.constraint.shape[0] == 0:
-        margin = np.inf   # no constraint: every weight vector is strictly feasible
-    else:
-        margin, _ = max_min_slack(vals.constraint, vals.thresholds)
-    spread = vals.constraint.max(axis=1) - vals.constraint.min(axis=1)
-    constant_rows = tuple(int(j) for j in np.flatnonzero(spread <= 1e-12))
-    min_weight, positive_alpha = None, None
-    for eps in EPSILON_SWEEP:
-        alpha = min_weight_feasible(vals.constraint, vals.thresholds, eps)
-        if alpha is not None:
-            min_weight, positive_alpha = eps, alpha
-            break
+def check_lp_regularity(game: ConstrainedMarkovGame, player: int,
+                        policy: np.ndarray) -> LPRegularityReport:
+    """The margin and the minimum weight from the pair program started at the
+    identity basis, the row extremes from backward induction."""
+    program = replace(build_pair_occupancy_lp(game, player, policy),
+                      start=identity_basis(game, player))
+    margin = max_min_slack(program)[0] if program.b_ub.size else np.inf
+    eps_max = min_weight_feasible(game, player, policy, program)
+    min_weight = next((e for e in EPSILON_SWEEP if eps_max is not None and e <= eps_max), None)
+    mdp = build_mdp2(game, player, policy)
+    lifted = [lift_reward(game, player, policy, game.constraint_table(player, j))
+              for j in range(game.num_constraints)]
+    maxima, minima = ([optimize_aux(mdp, rows, direction)[0] for rows in lifted]
+                      for direction in ("max", "min"))
     return LPRegularityReport(
-        player=player,
-        strictly_feasible=margin > LP_TOL,
-        max_min_slack=margin,
-        constant_rows=constant_rows,
-        positive_weight_feasible=positive_alpha is not None,
-        min_weight=min_weight,
-        positive_alpha=positive_alpha,
-    )
+        player=player, strictly_feasible=margin > LP_TOL, max_min_slack=margin,
+        constant_rows=tuple(int(j) for j in np.flatnonzero(np.subtract(maxima, minima) <= 1e-12)),
+        minima=tuple(minima), positive_weight_feasible=min_weight is not None,
+        min_weight=min_weight)

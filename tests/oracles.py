@@ -9,12 +9,13 @@ tests use; they call into the library and are not oracles themselves.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from cmgames.dynamics import normalize_or_uniform
+from cmgames.dynamics import compute_occupancy, evaluate, normalize_or_uniform
 from cmgames.game import COMMON, ConstrainedMarkovGame
 from cmgames.lp import (
     OPTIMAL,
@@ -160,6 +161,16 @@ def bfs_lp_oracle(lp) -> tuple[str, float | None]:
     return "optimal", best
 
 
+def alpha_simplex_program(constraint, thresholds) -> LinearProgram:
+    """The weights on the enumerated family as a program: C alpha >= c, sum alpha = 1.
+
+    Its objective is zero; lp.max_min_slack ignores it.
+    """
+    k = constraint.shape[1]
+    return LinearProgram.build(c=np.zeros(k), a_ub=constraint, b_ub=thresholds,
+                               a_eq=np.ones((1, k)), b_eq=[1.0])
+
+
 def min_weight_rows_oracle(constraint, thresholds, epsilon):
     """The min-weight program with one row alpha_k >= epsilon per weight.
 
@@ -222,6 +233,15 @@ def random_policy(rng, game) -> np.ndarray:
         game.horizon, game.num_states, a)
 
 
+def thresholds_at_policy(rng, game, policy, factors):
+    """``game`` with each threshold at ``policy``'s own constraint value times a
+    factor drawn from ``factors``: 1 puts the policy on that row's boundary,
+    less than 1 inside the feasible set and more than 1 outside it."""
+    values = evaluate(game, compute_occupancy(game, policy)).constraint
+    values = values[0] if game.constraint_mode == COMMON else values
+    return dataclasses.replace(game, thresholds=rng.choice(factors, size=values.shape) * values)
+
+
 def random_markov_mod(rng, game, player):
     from cmgames.modifications import MarkovModification
 
@@ -256,7 +276,7 @@ def nonmarkov_from_markov(game, mod):
 
 def lifted_value(mdp, lifted, occupancies) -> float:
     """Lifted reward summed against per-step auxiliary-MDP occupancies."""
-    return float(sum(np.sum(occ * tab) for occ, tab in zip(occupancies, lifted.tables)))
+    return float(sum(np.sum(occ * tab) for occ, tab in zip(occupancies, lifted)))
 
 
 @dataclass(frozen=True)

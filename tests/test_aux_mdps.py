@@ -214,7 +214,7 @@ def test_collapsed_modification_marginal_equality(toy):
 def test_lift_zero_signal(toy):
     pol = cm.uniform_policy(toy)
     lifted = cm.lift_reward(toy, 0, pol, np.zeros_like(toy.rewards[0]))
-    assert all(np.all(t == 0.0) for t in lifted.tables)
+    assert all(np.all(t == 0.0) for t in lifted)
     value, _ = cm.optimize_aux(cm.build_mdp2(toy, 0, pol), lifted, "max")
     assert value == 0.0
 

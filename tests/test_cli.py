@@ -130,13 +130,47 @@ def test_find_past_the_enumeration_cap_exits_with_verdict(capsys, tmp_path):
     assert "cap" not in rep["parameters"]
 
 
+def test_slater_takes_no_cap(capsys, paths):
+    with pytest.raises(SystemExit):
+        main(["slater", paths["example2.game"], "--mode", "weak", "--cap", "10"])
+
+
+@pytest.mark.parametrize("mode", ["strong", "weak"])
+def test_slater_past_the_enumeration_cap_exits_with_verdict(capsys, tmp_path, mode):
+    game = random_game(np.random.default_rng(12), num_states=3, horizon=3, action_counts=(3, 2))
+    assert count_det_modifications(game, 0) == 3 ** 27
+    path = tmp_path / "wide.game"
+    cm.save_game(game, path)
+    code, rep = run(capsys, "slater", str(path), "--mode", mode, "--samples", "5", "--json")
+    assert code == (0 if not rep["results"]["failures"] else 3)
+    assert rep["results"]["tested"] >= 1
+    assert "cap" not in rep["parameters"]
+
+
+def test_slater_numerical_exit_code(capsys, monkeypatch, paths):
+    def singular(*args, **kwargs):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    game = cm.load_game(paths["example1.game"])
+    policy = cm.uniform_policy(game)
+    monkeypatch.setattr(np.linalg, "solve", singular)
+    with pytest.raises(cm.NumericalLPError):
+        cm.check_strong_slater_at(game, 0, policy)
+    code = main(["slater", paths["example1.game"], "--mode", "strong", "--samples", "3", "--json"])
+    captured = capsys.readouterr()
+    assert code == 6
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
+
+
 def test_settable_option_count():
     # Every option a user can set, across the subcommands; a new knob is a test edit.
     (subparsers,) = [a for a in build_parser()._actions
                      if isinstance(a, argparse._SubParsersAction)]
     options = [a for sub in subparsers.choices.values() for a in sub._actions
                if a.option_strings and not isinstance(a, argparse._HelpAction)]
-    assert len(options) == 22
+    assert len(options) == 21
 
 
 def test_find_example2(capsys, paths):
@@ -222,7 +256,7 @@ def test_enumeration_cap_exit_code(capsys, paths):
 
 
 def test_slater_weak_toy_h2_finishes(capsys, paths):
-    # K^i = 256: each epsilon-sweep program has J + 1 rows, not J + K + 1.
+    # K^i = 256 enters only as a number: every program is a pair program.
     code, rep = run(capsys, "slater", paths["toy_h2.game"],
                     "--mode", "weak", "--samples", "20", "--json")
     assert code == 3

@@ -5,20 +5,24 @@ import pytest
 
 import cmgames as cm
 from cmgames.lp import (
-    LP_TOL,
+    EPSILON_SWEEP,
     LinearProgram,
+    build_pair_occupancy_lp,
     max_min_slack,
     min_weight_feasible,
     modification_values,
     solve_lp,
 )
+from cmgames.modifications import count_det_modifications
 from oracles import (
+    alpha_simplex_program,
     best_feasible_modification,
     bfs_lp_oracle,
     build_best_modification_lp,
     min_weight_rows_oracle,
     random_game,
     random_policy,
+    thresholds_at_policy,
 )
 
 
@@ -251,77 +255,92 @@ def test_example2_omega_mixture_is_uniform_occupancy():
 def test_max_min_slack_epigraph():
     constraint = np.array([[1.0, 0.0], [0.0, 1.0]])
     thresholds = np.array([0.2, 0.2])
-    margin, alpha = max_min_slack(constraint, thresholds)
+    margin, alpha = max_min_slack(alpha_simplex_program(constraint, thresholds))
     assert margin == pytest.approx(0.3, abs=1e-9)   # alpha = (1/2, 1/2)
     assert np.abs(alpha - 0.5).max() <= 1e-9
 
 
-def test_min_weight_feasible_sweep():
-    constraint = np.array([[1.0, 0.0]])
-    assert min_weight_feasible(constraint, np.array([0.9]), 0.05) is not None
-    assert min_weight_feasible(constraint, np.array([0.9]), 0.2) is None
-
-
 def _min_weight_cases():
-    """Seeded (C, c, epsilon) triples, with J = 0, constant rows, K eps = 1 and K eps > 1."""
+    """Seeded (game, player, policy) with K <= 64, both modes and J = 0..3.
+
+    Each threshold is the policy's own constraint value times 1 (on the
+    boundary), 0.9 (inside) or 1.1 (outside the feasible set); policies are
+    Dirichlet, and uniform in every fifth case.
+    """
     rng = np.random.default_rng(77)
-    for trial in range(120):
-        k = int(rng.integers(1, 9))
-        j = trial % 4
-        constraint = rng.uniform(0.0, 1.0, size=(j, k))
-        if j and trial % 3 == 0:
-            constraint[-1] = rng.uniform(0.0, 1.0)   # constant across k
-        # Thresholds around the value of a random mixture: about half feasible.
-        thresholds = constraint @ rng.dirichlet(np.ones(k)) + rng.uniform(-0.2, 0.2, size=j)
-        epsilon = [1e-3, 0.02, 1.0 / k, 2.0 / k, 0.5 / k][trial % 5]
-        yield constraint, thresholds, epsilon
+    shapes = [(1, 1, (2, 2)), (2, 1, (2, 2)), (1, 2, (2, 2)), (1, 1, (3, 2)),
+              (2, 1, (2, 2, 2)), (1, 3, (2, 2)), (3, 1, (2, 2))]
+    for trial in range(56):
+        num_states, horizon, counts = shapes[trial % len(shapes)]
+        mode = ("common", "playerwise")[trial // len(shapes) % 2]
+        game = random_game(rng, num_states, horizon, counts, j=trial % 4, mode=mode)
+        policy = cm.uniform_policy(game) if trial % 5 == 0 else random_policy(rng, game)
+        game = thresholds_at_policy(rng, game, policy, [1.0, 1.0, 0.9, 1.1])
+        yield game, trial % game.num_players, policy
+
+
+def _assert_min_weight_matches_rows_oracle(epsilons):
+    """min_weight_feasible's maximum against the J + K + 1-row program over
+    the enumerated family: feasible exactly at the epsilons up to the maximum."""
+    outcomes = set()
+    for game, player, policy in _min_weight_cases():
+        program = build_pair_occupancy_lp(game, player, policy)
+        eps_max = min_weight_feasible(game, player, policy, program)
+        vals = modification_values(game, player, policy)
+        k = len(vals.mods)
+        for epsilon in epsilons(k):
+            if eps_max is not None and abs(epsilon - eps_max) <= 1e-9:
+                continue
+            feasible = eps_max is not None and epsilon <= eps_max
+            reference = min_weight_rows_oracle(vals.constraint, vals.thresholds, epsilon)
+            assert (reference is not None) == feasible, (epsilon, eps_max)
+            outcomes.add(feasible)
+        if eps_max is None:
+            assert min_weight_rows_oracle(vals.constraint, vals.thresholds, 0.0) is None
+        else:
+            assert 0.0 <= eps_max <= (1.0 + 1e-12) / k
+    assert outcomes == {False, True}
+
+
+def test_min_weight_feasible_sweep():
+    _assert_min_weight_matches_rows_oracle(lambda k: EPSILON_SWEEP)
 
 
 def test_min_weight_feasible_matches_row_per_weight_program():
-    outcomes = set()
-    for constraint, thresholds, epsilon in _min_weight_cases():
-        alpha = min_weight_feasible(constraint, thresholds, epsilon)
-        reference = min_weight_rows_oracle(constraint, thresholds, epsilon)
-        assert (alpha is None) == (reference is None)
-        k = constraint.shape[1]
-        outcomes.add((alpha is None, k * epsilon > 1.0))
-        if alpha is None:
-            continue
-        assert alpha.shape == (k,)
-        assert alpha.min() >= epsilon
-        assert abs(alpha.sum() - 1.0) <= 1e-12
-        floor = thresholds - LP_TOL * np.maximum(1.0, np.abs(thresholds))
-        assert (constraint @ alpha >= floor).all()
-    # Both answers occur, and every K eps > 1 case is infeasible.
-    assert outcomes == {(False, False), (True, False), (True, True)}
+    _assert_min_weight_matches_rows_oracle(lambda k: (0.5 / k, 1.0 / k, 2.0 / k))
 
 
 def test_min_weight_program_has_j_plus_one_rows(monkeypatch):
     game = cm.load_game(cm.bundled_path("toy_h2.game"))
-    min_weight_rows = []
+    k = count_det_modifications(game, 0)
+    shapes = []
 
     def recording(lp):
-        if not lp.c.any():   # the sweep's feasibility programs; max-min has an objective
-            min_weight_rows.append(lp.a_ub.shape[0] + lp.a_eq.shape[0])
+        shapes.append((lp.a_ub.shape[0] + lp.a_eq.shape[0], lp.c.shape[0]))
         return solve_lp(lp)
 
     monkeypatch.setattr(cm.lp, "solve_lp", recording)
     rep = cm.check_lp_regularity(game, 0, cm.uniform_policy(game))
     assert rep.positive_weight_feasible
-    assert min_weight_rows
-    assert all(rows == game.num_constraints + 1 for rows in min_weight_rows)
+    assert shapes
+    cells = game.horizon * game.num_states * game.action_counts[0]
+    assert all(rows <= cells + game.num_constraints + 1 and k not in (rows, cols)
+               for rows, cols in shapes)
 
 
 def test_hull_and_min_weight_report_numerical_trouble(monkeypatch):
     def singular(*args, **kwargs):
         raise np.linalg.LinAlgError("Singular matrix")
 
+    game = cm.load_game(cm.bundled_path("example2.game"))
+    policy = cm.uniform_policy(game)
+    program = build_pair_occupancy_lp(game, 0, policy)
     monkeypatch.setattr(np.linalg, "solve", singular)
     vertices = [np.array([1.0, 0.0]), np.array([0.0, 1.0])]
     with pytest.raises(cm.NumericalLPError):
         cm.hull_membership(np.array([0.5, 0.5]), vertices)
     with pytest.raises(cm.NumericalLPError):
-        min_weight_feasible(np.array([[1.0, 0.0]]), np.array([0.9]), 0.05)
+        min_weight_feasible(game, 0, policy, program)
 
 
 def test_regularity_example2():
@@ -331,7 +350,6 @@ def test_regularity_example2():
     assert rep.max_min_slack == pytest.approx(0.0, abs=1e-9)
     assert rep.constant_rows == ()
     assert rep.positive_weight_feasible and rep.min_weight == 1e-3
-    assert rep.positive_alpha.min() >= 1e-3 - 1e-12
 
 
 def test_regularity_unconstrained_strict():

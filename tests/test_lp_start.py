@@ -26,6 +26,7 @@ from oracles import (
     build_best_modification_lp,
     random_game,
     random_policy,
+    thresholds_at_policy,
 )
 
 
@@ -474,3 +475,45 @@ def test_simplex_factors_no_final_basis_twice(alpha_programs, monkeypatch):
         assert np.array_equal(again.x, sol.x) and again.objective == sol.objective
         resolved += 1
     assert resolved >= 100
+
+
+# --- the Slater programs' identity start ---------------------------------------
+
+def test_identity_start_skips_phase_one_on_slater_programs(monkeypatch):
+    """check_lp_regularity's max-min and min-weight programs start at the
+    identity basis: at a feasible policy each takes phase 2 alone.  The
+    max-min start is feasible at any policy, so check_strong_slater_at never
+    runs phase 1."""
+    calls = _recording_pivots(monkeypatch)
+    pivot_runs = []
+    real_solve = lpmod.solve_lp
+
+    def recording_solve(lp):
+        before = len(calls)
+        sol = real_solve(lp)
+        pivot_runs.append(len(calls) - before)
+        return sol
+
+    monkeypatch.setattr(lpmod, "solve_lp", recording_solve)
+    rng = np.random.default_rng(7500)
+    regular = infeasible = 0
+    for trial in range(24):
+        counts = ((2, 2), (3, 2), (2, 2, 2))[trial % 3]
+        mode = (COMMON, PLAYERWISE)[trial // 3 % 2]
+        game = random_game(rng, num_states=2, horizon=1 + trial % 2, action_counts=counts,
+                           j=1 + trial % 3, mode=mode)
+        policy = random_policy(rng, game)
+        game = thresholds_at_policy(rng, game, policy,
+                                    [1.0, 0.9, 1.0, 1.1] if trial % 4 else [1.0, 0.9])
+        for player in range(game.num_players):
+            pivot_runs.clear()
+            cm.check_strong_slater_at(game, player, policy)
+            assert pivot_runs == [1]
+            if not _feasible(game, policy):
+                infeasible += 1
+                continue
+            pivot_runs.clear()
+            cm.check_lp_regularity(game, player, policy)
+            assert pivot_runs == [1, 1]
+            regular += 1
+    assert regular >= 10 and infeasible >= 10

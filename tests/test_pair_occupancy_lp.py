@@ -1,14 +1,21 @@
-"""The pair-MDP occupancy program behind Psi^i, against the enumerated alpha-program."""
+"""The pair-MDP occupancy program behind Psi^i and the Slater margins, against the
+enumerated alpha-programs."""
 
 import numpy as np
 import pytest
 
 import cmgames as cm
 from cmgames.aux_mdps import mdp_policy_from_modification, pair_to_game_occupancy
-from cmgames.equilibrium import BOUNDARY_TOL, _floored_pair_program, feasible_occupancy
-from cmgames.lp import build_pair_occupancy_lp, solve_lp
+from cmgames.equilibrium import (
+    BOUNDARY_TOL,
+    _floored_pair_program,
+    check_strong_slater_at,
+    feasible_occupancy,
+)
+from cmgames.lp import build_pair_occupancy_lp, max_min_slack, modification_values, solve_lp
 from cmgames.modifications import DEFAULT_ENUM_CAP, count_det_modifications
 from oracles import (
+    alpha_simplex_program,
     best_feasible_modification,
     best_markov_modification,
     random_game,
@@ -73,6 +80,38 @@ def test_compact_psi_equals_enumerated_psi(shape, mode):
                 assert compact.psi == pytest.approx(enumerated.psi, abs=1e-9)
                 _check_modification(game, player, policy, compact)
     assert optimal >= len(SEEDS) * len(counts)   # at least every Gamma(vertex) policy
+
+
+# (|S|, H, action counts) for the strong-Slater margin: H = 1..3 with two,
+# three-action and three players.
+MARGIN_SHAPES = [
+    (2, 1, (2, 2)), (1, 2, (2, 2)), (1, 3, (2, 2)),
+    (1, 1, (3, 2)), (1, 2, (3, 2)),
+    (1, 1, (2, 2, 2)), (1, 2, (2, 2, 2)),
+]
+
+
+@pytest.mark.parametrize("mode", ["common", "playerwise"])
+@pytest.mark.parametrize("shape", MARGIN_SHAPES, ids=_shape_id)
+def test_pair_strong_margin_equals_enumerated_margin(shape, mode):
+    """check_strong_slater_at's pair-program margin is the max-min slack over
+    weights on the enumerated family, for J = 0..3 at feasible and
+    infeasible policies alike."""
+    num_states, horizon, counts = shape
+    rng = np.random.default_rng(2000 + len(counts) * 10 + horizon)
+    for j in range(4):
+        game = random_game(rng, num_states, horizon, counts, j=j, mode=mode,
+                           threshold_scale=rng.uniform(0.5, 1.5))
+        policy = random_policy(rng, game)
+        for player in range(game.num_players):
+            result = check_strong_slater_at(game, player, policy)
+            if j == 0:
+                assert result.holds and result.margin == np.inf
+                continue
+            vals = modification_values(game, player, policy)
+            enumerated, _ = max_min_slack(alpha_simplex_program(vals.constraint, vals.thresholds))
+            assert abs(result.margin - enumerated) <= 1e-12
+            assert result.holds == (enumerated > BOUNDARY_TOL)
 
 
 def test_verify_beyond_the_enumeration_cap():
