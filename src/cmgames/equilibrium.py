@@ -267,7 +267,10 @@ def slater_sampling_harness(game: ConstrainedMarkovGame, mode: str, num_samples:
     Policies are drawn row-wise from Dirichlet(1) using numpy's PCG64
     generator.  In weak mode each sample is pulled to the feasible-set
     boundary by bisecting the minimum slack along the segment toward a
-    feasible anchor policy.
+    feasible anchor policy.  When the anchor itself lies on the boundary,
+    every sample collapses to it, so the report then tests that one policy
+    num_samples times.  Each distinct boundary policy is checked once per
+    player; every sample still gets its own entry and failures.
     """
     if mode not in ("strong", "weak"):
         raise ValueError(f"mode must be 'strong' or 'weak', got {mode!r}")
@@ -300,6 +303,7 @@ def slater_sampling_harness(game: ConstrainedMarkovGame, mode: str, num_samples:
             feasible_empty = True
         else:
             anchor = occupancy_to_policy(game, anchor_occ)
+            checked: dict[bytes, list[WeakSlaterResult]] = {}   # boundary policy -> per player
             for k in range(num_samples):
                 sample = dirichlet_policy(game, rng)
                 boundary = _boundary_policy(game, anchor, sample)
@@ -307,9 +311,12 @@ def slater_sampling_harness(game: ConstrainedMarkovGame, mode: str, num_samples:
                     not_applicable += 1
                     continue
                 tested += 1
+                key = boundary.tobytes()
+                if key not in checked:
+                    checked[key] = [check_weak_slater_at(game, i, boundary)
+                                    for i in range(game.num_players)]
                 per_player = []
-                for i in range(game.num_players):
-                    res = check_weak_slater_at(game, i, boundary)
+                for i, res in enumerate(checked[key]):
                     per_player.append({"player": i, "applicable": res.applicable,
                                        "satisfied": res.satisfied, "branch": res.branch})
                     if res.applicable and not res.satisfied:

@@ -112,21 +112,25 @@ class LPSolution:
 
 
 def _bland_pivots(a: np.ndarray, b: np.ndarray, cost: np.ndarray,
-                  basis: np.ndarray) -> tuple[str, np.ndarray | None]:
+                  basis: np.ndarray, x_b: np.ndarray | None = None
+                  ) -> tuple[str, np.ndarray | None]:
     """Revised simplex (minimization) with Bland's rule, in place on ``basis``.
 
     Each iteration re-solves against the original data, so degenerate pivot
-    chains cannot accumulate roundoff.  Entering column: the lowest-index
-    nonbasic column with negative reduced cost; leaving row: minimum ratio,
-    ties broken by the smallest basic variable index.  Returns (status, x_B)
-    with x_B solved at the final basis on OPTIMAL, else None; NUMERICAL at
-    the pivot limit.  A singular basis raises LinAlgError.
+    chains cannot accumulate roundoff.  A given x_b, already solved at the
+    starting basis, stands in for the first iteration's solve.  Entering
+    column: the lowest-index nonbasic column with negative reduced cost;
+    leaving row: minimum ratio, ties broken by the smallest basic variable
+    index.  Returns (status, x_B) with x_B solved at the final basis on
+    OPTIMAL, else None; NUMERICAL at the pivot limit.  A singular basis
+    raises LinAlgError.
     """
     m = a.shape[0]
     max_pivots = 200 * (m + a.shape[1] + 10)
     for _ in range(max_pivots):
         bmat = a[:, basis]
-        x_b = np.linalg.solve(bmat, b)
+        if x_b is None:
+            x_b = np.linalg.solve(bmat, b)
         y = np.linalg.solve(bmat.T, cost[basis])
         reduced = cost - y @ a
         # A basic column's reduced cost is zero; roundoff in a near-singular
@@ -146,6 +150,7 @@ def _bland_pivots(a: np.ndarray, b: np.ndarray, cost: np.ndarray,
         tied = np.flatnonzero(ratios <= best + 1e-12)
         leave = int(tied[np.argmin(basis[tied])])
         basis[leave] = enter
+        x_b = None
     return NUMERICAL, None
 
 
@@ -167,19 +172,19 @@ def solve_lp(lp: LinearProgram) -> LPSolution:
 
 
 def _start_basis(a: np.ndarray, b: np.ndarray, start: tuple[int, ...] | None,
-                 feas_tol: float) -> np.ndarray | None:
-    """The start's basis; None when there is no start, its basis is
-    singular, or some basic variable is below -feas_tol, and the caller
-    then runs phase 1.
+                 feas_tol: float) -> tuple[np.ndarray | None, np.ndarray | None]:
+    """The start's (basis, x_B); (None, None) when there is no start, its
+    basis is singular, or some basic variable is below -feas_tol, and the
+    caller then runs phase 1.
     """
     if start is None:
-        return None
+        return None, None
     basis = np.asarray(start, dtype=np.intp)
     try:
         x_b = np.linalg.solve(a[:, basis], b)
     except np.linalg.LinAlgError:
-        return None
-    return basis if x_b.min() >= -feas_tol else None
+        return None, None
+    return (basis, x_b) if x_b.min() >= -feas_tol else (None, None)
 
 
 def _phase_one(a: np.ndarray, b: np.ndarray, feas_tol: float
@@ -245,7 +250,7 @@ def _two_phase(lp: LinearProgram) -> LPSolution:
         return LPSolution(status=OPTIMAL, x=np.zeros(n), objective=0.0, basis=())
 
     feas_tol = LP_TOL * max(1.0, float(np.abs(b).max(initial=0.0)))
-    basis = _start_basis(a, b, lp.start, feas_tol)
+    basis, x_b = _start_basis(a, b, lp.start, feas_tol)
     if basis is None:
         status, a, b, basis = _phase_one(a, b, feas_tol)
         if status != OPTIMAL:
@@ -254,7 +259,7 @@ def _two_phase(lp: LinearProgram) -> LPSolution:
     # Phase 2: minimize -c (i.e. maximize c) over the real variables.
     cost2 = np.zeros(n_slack)
     cost2[:n] = -lp.c
-    status, x_b = _bland_pivots(a, b, cost2, basis)
+    status, x_b = _bland_pivots(a, b, cost2, basis, x_b)
     if status != OPTIMAL:
         return LPSolution(status=status, x=None, objective=None)
 

@@ -343,3 +343,47 @@ def best_feasible_modification(game, player, policy) -> BestModification:
     if sol.status != OPTIMAL:
         return BestModification(status=sol.status, psi=None, alpha=None)
     return BestModification(status=OPTIMAL, psi=sol.objective, alpha=sol.x)
+
+
+def weak_slater_harness_oracle(game, num_samples, seed):
+    """slater_sampling_harness(game, "weak", num_samples, seed) as a plain loop:
+    every tested sample calls check_weak_slater_at once per player, even when
+    samples share a boundary policy.  The reference for the harness's reuse
+    of each distinct boundary policy's results."""
+    from cmgames.equilibrium import (
+        SlaterFailure,
+        SlaterReport,
+        SlaterSample,
+        _boundary_policy,
+        check_weak_slater_at,
+        dirichlet_policy,
+        feasible_occupancy,
+    )
+    from cmgames.dynamics import occupancy_to_policy
+
+    rng = np.random.default_rng(seed)
+    samples, failures, tested, not_applicable = [], [], 0, 0
+    anchor_occ = feasible_occupancy(game)
+    if anchor_occ is not None:
+        anchor = occupancy_to_policy(game, anchor_occ)
+        for k in range(num_samples):
+            boundary = _boundary_policy(game, anchor, dirichlet_policy(game, rng))
+            if boundary is None:
+                not_applicable += 1
+                continue
+            tested += 1
+            per_player = []
+            for i in range(game.num_players):
+                res = check_weak_slater_at(game, i, boundary)
+                per_player.append({"player": i, "applicable": res.applicable,
+                                   "satisfied": res.satisfied, "branch": res.branch})
+                if res.applicable and not res.satisfied:
+                    failures.append(SlaterFailure(
+                        sample=k, player=i, policy=boundary,
+                        detail="boundary policy satisfies neither condition "
+                               f"(minima {list(res.minima)})"))
+            samples.append(SlaterSample(sample=k, policy=boundary,
+                                        player_results=tuple(per_player)))
+    return SlaterReport(mode="weak", num_samples=num_samples, seed=seed, tested=tested,
+                        not_applicable=not_applicable, feasible_set_empty=anchor_occ is None,
+                        samples=tuple(samples), failures=tuple(failures))

@@ -7,11 +7,12 @@ import numpy as np
 import pytest
 
 import cmgames as cm
+from cmgames import equilibrium as eqmod
 from cmgames.equilibrium import NoFeasibleStartError
 from cmgames.game import COMMON
 from cmgames.lp import modification_values
 from cmgames.modifications import DEFAULT_ENUM_CAP, count_det_modifications
-from oracles import random_game, random_markov_mod, random_policy
+from oracles import random_game, random_markov_mod, random_policy, weak_slater_harness_oracle
 
 
 @pytest.fixture(scope="module")
@@ -241,6 +242,47 @@ def test_sampling_weak_empty_feasible(example2):
     game = cm.parse_game(doc)
     rep = cm.slater_sampling_harness(game, "weak", 5, seed=0)
     assert rep.feasible_set_empty and rep.tested == 0
+
+
+def _interior_anchor_game():
+    """A common game whose anchor lies strictly inside the feasible set: the
+    thresholds are 0.95 times the constraint values of a first game's anchor,
+    so weak samples bisect to distinct boundary policies (or to none)."""
+    game = random_game(np.random.default_rng(9), num_states=2, horizon=2, threshold_scale=0.3)
+    anchor = cm.occupancy_to_policy(game, cm.feasible_occupancy(game))
+    values = cm.evaluate(game, cm.compute_occupancy(game, anchor)).constraint[0]
+    return dataclasses.replace(game, thresholds=0.95 * values)
+
+
+@pytest.mark.parametrize("name, num_samples, seed, distinct", [
+    ("toy_h2.game", 20, 0, 1),        # the anchor is on the boundary; players fail
+    ("example2.game", 20, 5, 1),      # the unique feasible policy
+    (None, 10, 0, 5),                 # interior anchor; 5 of 10 samples not applicable
+])
+def test_weak_harness_equals_per_sample_oracle(name, num_samples, seed, distinct):
+    game = _interior_anchor_game() if name is None else cm.load_game(cm.bundled_path(name))
+    rep = cm.slater_sampling_harness(game, "weak", num_samples, seed)
+    assert len({s.policy.tobytes() for s in rep.samples}) == distinct
+    assert rep.as_dict() == weak_slater_harness_oracle(game, num_samples, seed).as_dict()
+    if name == "toy_h2.game":
+        assert rep.tested == num_samples and len(rep.failures) >= num_samples
+
+
+@pytest.mark.parametrize("name", ["toy_h2.game", "example2.game", None])
+def test_weak_harness_checks_each_boundary_policy_once(name, monkeypatch):
+    game = _interior_anchor_game() if name is None else cm.load_game(cm.bundled_path(name))
+    calls = []
+    real = eqmod.check_weak_slater_at
+
+    def counting(game, player, policy):
+        calls.append((policy.tobytes(), player))
+        return real(game, player, policy)
+
+    monkeypatch.setattr(eqmod, "check_weak_slater_at", counting)
+    rep = cm.slater_sampling_harness(game, "weak", 20, seed=1)
+    assert rep.tested >= 2
+    assert sorted(calls) == sorted({(s.policy.tobytes(), i) for s in rep.samples
+                                    for i in range(game.num_players)})
 
 
 def test_sampling_deterministic(example1):

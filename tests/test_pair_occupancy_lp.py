@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import cmgames as cm
-from cmgames.aux_mdps import mdp_policy_from_modification, pair_to_game_occupancy
+from cmgames.aux_mdps import lift_reward, mdp_policy_from_modification, pair_to_game_occupancy
 from cmgames.equilibrium import (
     BOUNDARY_TOL,
     _floored_pair_program,
@@ -80,6 +80,25 @@ def test_compact_psi_equals_enumerated_psi(shape, mode):
                 assert compact.psi == pytest.approx(enumerated.psi, abs=1e-9)
                 _check_modification(game, player, policy, compact)
     assert optimal >= len(SEEDS) * len(counts)   # at least every Gamma(vertex) policy
+
+
+@pytest.mark.parametrize("mode", ["common", "playerwise"])
+@pytest.mark.parametrize("shape", SHAPES, ids=_shape_id)
+def test_program_rows_are_lift_reward_bit_for_bit(shape, mode):
+    """The objective and each >= row are lift_reward's array without its zero
+    row at b, bit for bit, so a backward induction over the pair MDP may take
+    its rewards from the program's rows instead of lifting them again."""
+    num_states, horizon, counts = shape
+    rng = np.random.default_rng(1500 + sum(counts) + 10 * num_states + horizon)
+    game = random_game(rng, num_states, horizon, counts, j=3, mode=mode)
+    for policy in _policies(game, rng):
+        for player in range(game.num_players):
+            lp = build_pair_occupancy_lp(game, player, policy)
+            signals = [game.rewards[player]] + [game.constraint_table(player, j) for j in range(3)]
+            for signal, row in zip(signals, [lp.c, *lp.a_ub]):
+                lifted = lift_reward(game, player, policy, signal)
+                assert not lifted[:, -1].any()
+                assert np.array_equal(lifted[:, :-1].reshape(-1), row)
 
 
 # (|S|, H, action counts) for the strong-Slater margin: H = 1..3 with two,
